@@ -8,15 +8,15 @@ whether statically partitioned queues stay balanced (Section VI-A).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Trace
+from .events import POST, SEND, Trace
 
 __all__ = ["TableIRow", "analyze", "rank_usage_uniformity",
-           "tag_distribution", "normalized_entropy"]
+           "tag_distribution", "normalized_entropy", "distinct_rows"]
 
 
 @dataclass(frozen=True)
@@ -64,34 +64,66 @@ class TableIRow:
         return self.tag_bits_needed <= 16
 
 
+def distinct_rows(*cols: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct rows of equal-length integer columns, in lexicographic
+    order, and how often each occurs.
+
+    Rows are packed into one int64 key (each column offset by its
+    minimum and scaled by its span), so the grouping is a single 1-D
+    ``np.unique``; columns whose spans do not fit 63 bits together fall
+    back to a row-wise unique.
+    """
+    lows = [int(c.min()) if c.size else 0 for c in cols]
+    spans = [int(c.max()) - lo + 1 if c.size else 1
+             for c, lo in zip(cols, lows)]
+    if math.prod(spans) >= 2**63:
+        rows, counts = np.unique(np.stack(cols, axis=1), axis=0,
+                                 return_counts=True)
+        return list(rows.T), counts
+    key = np.zeros(cols[0].shape, dtype=np.int64)
+    for col, lo, span in zip(cols, lows, spans):
+        key = key * span + (col.astype(np.int64) - lo)
+    keys, counts = np.unique(key, return_counts=True)
+    rows = []
+    for lo, span in zip(reversed(lows), reversed(spans)):
+        keys, rem = np.divmod(keys, span)
+        rows.append(rem + lo)
+    return rows[::-1], counts
+
+
+def _first_seen_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` and their counts, in order of first occurrence
+    (the order a ``Counter`` walk over the stream would give)."""
+    uniq, first, counts = np.unique(values, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first, kind="stable")
+    return uniq[order], counts[order]
+
+
 def analyze(trace: Trace) -> TableIRow:
     """Compute the Table I row for one trace."""
-    sends = trace.sends()
-    posts = trace.recv_posts()
-    src_wc = sum(1 for p in posts if p.src == -1)
-    tag_wc = sum(1 for p in posts if p.tag == -1)
-    comms = {e.comm for e in sends} | {p.comm for p in posts}
-    peers: dict[int, set[int]] = defaultdict(set)
-    for s in sends:
-        peers[s.rank].add(s.dst)
-        peers[s.dst].add(s.rank)
-    peer_counts = np.array([len(peers[r]) for r in range(trace.n_ranks)])
-    tags = {s.tag for s in sends}
-    max_tag = max(tags) if tags else 0
-    tag_counts = Counter(s.tag for s in sends)
+    sends = trace.kind == SEND
+    posts = trace.kind == POST
+    src, dst = trace.rank[sends], trace.peer[sends]
+    # peers of a rank: everyone it sends to or receives from
+    (ends, _), _ = distinct_rows(np.concatenate([src, dst]),
+                                 np.concatenate([dst, src]))
+    peer_counts = np.bincount(ends, minlength=trace.n_ranks)
+    tags, tag_counts = _first_seen_counts(trace.tag[sends])
+    max_tag = int(tags.max()) if tags.size else 0
     return TableIRow(
         app=trace.app,
         n_ranks=trace.n_ranks,
-        sends=len(sends),
-        src_wildcards=src_wc,
-        tag_wildcards=tag_wc,
-        n_communicators=len(comms),
+        sends=int(src.size),
+        src_wildcards=int(np.count_nonzero(trace.peer[posts] == -1)),
+        tag_wildcards=int(np.count_nonzero(trace.tag[posts] == -1)),
+        n_communicators=int(np.unique(trace.comm[sends | posts]).size),
         peers_mean=float(peer_counts.mean()) if peer_counts.size else 0.0,
         peers_max=int(peer_counts.max()) if peer_counts.size else 0,
-        n_tags=len(tags),
-        tag_bits_needed=int(max_tag).bit_length(),
+        n_tags=int(tags.size),
+        tag_bits_needed=max_tag.bit_length(),
         rank_usage_cov=rank_usage_uniformity(trace),
-        tag_entropy=normalized_entropy(list(tag_counts.values())),
+        tag_entropy=normalized_entropy(tag_counts),
     )
 
 
@@ -104,11 +136,8 @@ def rank_usage_uniformity(trace: Trace) -> float:
     communication behavior."  A near-zero CoV is uniform (queues balance
     under static partitioning); a large CoV is irregular.
     """
-    counts = Counter(s.dst for s in trace.sends())
-    if not counts:
-        return 0.0
-    arr = np.array([counts.get(r, 0) for r in range(trace.n_ranks)],
-                   dtype=float)
+    dst = trace.peer[trace.kind == SEND]
+    arr = np.bincount(dst, minlength=trace.n_ranks).astype(float)
     mean = arr.mean()
     return float(arr.std() / mean) if mean else 0.0
 
@@ -136,4 +165,5 @@ def normalized_entropy(counts) -> float:
 
 def tag_distribution(trace: Trace) -> dict[int, int]:
     """Messages per tag value (the raw distribution behind the entropy)."""
-    return dict(Counter(s.tag for s in trace.sends()))
+    tags, counts = _first_seen_counts(trace.tag[trace.kind == SEND])
+    return dict(zip(tags.tolist(), counts.tolist()))

@@ -11,51 +11,82 @@ analysis depends on -- not its numerics.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..events import BarrierEvent, RecvPostEvent, SendEvent, Trace
+from ..events import BARRIER, COLUMNS, POST, SEND, Trace
 
 __all__ = ["AppModel", "TraceBuilder", "grid_dims", "grid_neighbors",
            "ring_neighbors", "random_neighbors", "skewed_neighbors"]
 
+_N_COLUMNS = len(COLUMNS)
+
 
 class TraceBuilder:
-    """Accumulates events with a monotonically increasing clock.
+    """Accumulates events as column blocks with a monotonically
+    increasing clock.
+
+    :meth:`exchange` and :meth:`barrier` append one column block each.
+    The scalar emits (:meth:`send`, :meth:`post`) append a row to a
+    pending buffer that becomes a block at the next block emit or at
+    :meth:`build`, so scalar-heavy models stay cheap.  ``len(builder)``
+    counts every event emitted so far (the phase marks of the Benchpark
+    models).
 
     The synthetic clock has no physical meaning; only the *order* of
     events matters to the analyses (it decides queue interleavings).
     """
 
     def __init__(self) -> None:
-        self._events: list = []
+        self._blocks: list[tuple[np.ndarray, ...]] = []
+        self._n_blocked = 0
+        self._rows: list = []   # pending scalar rows, flattened
         self._t = 0.0
+
+    def __len__(self) -> int:
+        return self._n_blocked + len(self._rows) // _N_COLUMNS
 
     def _tick(self) -> float:
         self._t += 1.0
         return self._t
 
+    def _append(self, block: tuple[np.ndarray, ...]) -> None:
+        self._blocks.append(block)
+        self._n_blocked += int(block[0].size)
+
+    def _flush(self) -> None:
+        """Turn the pending scalar rows into one column block."""
+        if self._rows:
+            rows = np.array(self._rows, dtype=np.float64)
+            rows = rows.reshape(-1, _N_COLUMNS).T
+            self._rows = []
+            self._append(tuple(rows))
+
     def send(self, rank: int, dst: int, tag: int, comm: int = 0,
              nbytes: int = 8) -> None:
         """Record a send."""
-        self._events.append(SendEvent(time=self._tick(), rank=rank, dst=dst,
-                                      tag=tag, comm=comm, nbytes=nbytes))
+        self._rows.extend((SEND, self._tick(), rank, dst, tag, comm, nbytes))
 
     def post(self, rank: int, src: int, tag: int, comm: int = 0) -> None:
         """Record a receive post (src/tag may be -1)."""
-        self._events.append(RecvPostEvent(time=self._tick(), rank=rank,
-                                          src=src, tag=tag, comm=comm))
+        self._rows.extend((POST, self._tick(), rank, src, tag, comm, 0))
 
     def barrier(self, n_ranks: int) -> None:
         """Record a superstep boundary on every rank."""
+        self._flush()
         t = self._tick()
-        for r in range(n_ranks):
-            self._events.append(BarrierEvent(time=t, rank=r))
+        ranks = np.arange(n_ranks)
+        zeros = np.zeros(n_ranks, dtype=np.int64)
+        self._append((np.full(n_ranks, BARRIER), np.full(n_ranks, t), ranks,
+                      np.full(n_ranks, -1), zeros, zeros, zeros))
 
     def exchange(self, pairs: Sequence[tuple[int, int]],
-                 tag_of: Callable[[int, int, int], int],
-                 comm_of: Callable[[int, int, int], int] | None = None,
+                 tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  np.ndarray | int],
+                 comm_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                   np.ndarray | int] | None = None,
                  msgs_per_pair: int = 1,
                  prepost_fraction: float = 1.0,
                  rng: np.random.Generator | None = None,
@@ -65,38 +96,60 @@ class TraceBuilder:
 
         ``tag_of(src, dst, k)`` names the tag of the k-th message on a
         pair; ``comm_of`` likewise for the communicator (default 0).
+        Both are called once with the phase's whole ``src``/``dst``/``k``
+        arrays (pair-major, ``k`` fastest) and may return an array or a
+        scalar.
 
         ``prepost_fraction`` of the receives are posted *before* any send
         of the phase (they land in the PRQ and wait); the rest are posted
         after all sends (those messages sit in the UMQ as unexpected).
         ``wildcard_src_fraction`` of the receives use MPI_ANY_SOURCE.
+
+        RNG draws, in order: one uniform per receive (wildcard or not),
+        the shuffle of the receive order, the shuffle of the send order
+        over pairs.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        comm_of = comm_of if comm_of is not None else (lambda s, d, k: 0)
-        recvs = []
-        for (src, dst) in pairs:
-            for k in range(msgs_per_pair):
-                use_wc = rng.random() < wildcard_src_fraction
-                recvs.append((dst, -1 if use_wc else src,
-                              tag_of(src, dst, k), comm_of(src, dst, k)))
+        self._flush()
+        pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
+                            count=2 * len(pairs)).reshape(-1, 2)
+        m = msgs_per_pair
+        src = np.repeat(pairs[:, 0], m)
+        dst = np.repeat(pairs[:, 1], m)
+        k = np.tile(np.arange(m, dtype=np.int64), len(pairs))
+        n = src.size
+        tag = np.broadcast_to(tag_of(src, dst, k), (n,))
+        comm = (np.zeros(n, dtype=np.int64) if comm_of is None
+                else np.broadcast_to(comm_of(src, dst, k), (n,)))
+        wild = rng.random(n) < wildcard_src_fraction
+        recvs = np.arange(n)
         rng.shuffle(recvs)
-        n_pre = int(round(prepost_fraction * len(recvs)))
-        for (dst, src, tag, comm) in recvs[:n_pre]:
-            self.post(dst, src, tag, comm)
-        order = list(range(len(pairs)))
+        n_pre = int(round(prepost_fraction * n))
+        order = np.arange(len(pairs))
         rng.shuffle(order)
-        for i in order:
-            src, dst = pairs[i]
-            for k in range(msgs_per_pair):
-                self.send(src, dst, tag_of(src, dst, k),
-                          comm_of(src, dst, k), nbytes=nbytes)
-        for (dst, src, tag, comm) in recvs[n_pre:]:
-            self.post(dst, src, tag, comm)
+        sends = (order[:, None] * m + np.arange(m)).ravel()
+        # rows: receives posted before the sends, the sends, the rest
+        rows = np.concatenate([recvs[:n_pre], sends, recvs[n_pre:]])
+        is_send = np.zeros(2 * n, dtype=bool)
+        is_send[n_pre:n_pre + n] = True
+        rank = np.where(is_send, src[rows], dst[rows])
+        peer = np.where(is_send, dst[rows],
+                        np.where(wild[rows], -1, src[rows]))
+        self._append((np.where(is_send, SEND, POST),
+                      self._t + np.arange(1, 2 * n + 1, dtype=np.float64),
+                      rank, peer, tag[rows], comm[rows],
+                      np.where(is_send, nbytes, 0)))
+        self._t += 2 * n
 
     def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
         """Finalize into a :class:`Trace`."""
-        return Trace(app=app, n_ranks=n_ranks, events=self._events,
-                     meta=meta)
+        self._flush()
+        # blocks keep their natural int64/float64 lanes; the trace casts
+        # each concatenated column to its storage dtype once
+        columns = {name: (np.concatenate([b[i] for b in self._blocks])
+                          if self._blocks else ())
+                   for i, name in enumerate(COLUMNS)}
+        return Trace(app=app, n_ranks=n_ranks, meta=meta, columns=columns)
 
 
 class AppModel:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Trace
+from .events import BARRIER, SEND, Trace
 
 __all__ = ["QueueDepthStats", "RankReplay", "replay", "figure2_summary"]
 
@@ -170,12 +170,15 @@ def replay(trace: Trace) -> list[RankReplay]:
     pair ordering, the property MPI matching needs.
     """
     ranks = [RankReplay(rank=r) for r in range(trace.n_ranks)]
-    for ev in trace.events:
-        if ev.kind == "send":
-            ranks[ev.dst].on_message(ev.rank, ev.tag, ev.comm)
-        elif ev.kind == "post_recv":
-            ranks[ev.rank].on_post(ev.src, ev.tag, ev.comm)
-        # barriers carry no queue traffic
+    # barriers carry no queue traffic
+    live = trace.kind != BARRIER
+    rows = zip(*(trace.columns[name][live].tolist()
+                 for name in ("kind", "rank", "peer", "tag", "comm")))
+    for kind, rank, peer, tag, comm in rows:
+        if kind == SEND:
+            ranks[peer].on_message(rank, tag, comm)
+        else:
+            ranks[rank].on_post(peer, tag, comm)
     return ranks
 
 
