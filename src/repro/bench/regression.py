@@ -196,8 +196,8 @@ class ServePerfRecord:
     #: match/result) from a :class:`~repro.serve.stages.StageClock`;
     #: optional so entries recorded before the breakdown stay valid.
     stage_seconds: dict | None = None
-    #: wall-seconds spent in crash recovery (checkpoint restore +
-    #: reconciliation + journal replay) when the run was kill-injected;
+    #: wall-seconds spent in crash recovery (worker restart from the
+    #: checkpoint + journal replay) when the run was kill-injected;
     #: ``None`` for normal runs and entries predating fault tolerance.
     recovery_seconds: float | None = None
     #: end-of-run carried-over envelopes across session tenants

@@ -53,12 +53,14 @@ MIGRATING = "migrating"
 
 
 class ShardCrash(RuntimeError):
-    """Chaos-injected shard failure (see ``repro.serve.supervisor``).
+    """Chaos-injected shard failure (see ``repro.serve.cluster``).
 
     Raised from inside a flush *after* the accumulator has drained --
-    the worst moment: without the supervisor's admission journal, every
-    envelope of the in-flight batch would be lost.  Carries where and
-    when the crash happened so the supervisor can recover.
+    the worst moment: without the cluster router's frame journal, every
+    envelope of the in-flight batch would be lost.  The worker hosting
+    the shard dies on it (a process SIGKILLs itself, an inline worker
+    marks itself dead); the router recovers from the checkpoint and
+    journal.  Carries where and when the crash happened.
     """
 
     def __init__(self, shard_id: int, tenant: str, vt: float) -> None:

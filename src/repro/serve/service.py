@@ -184,6 +184,8 @@ class MatchingService:
             if ev.kind != "flush":
                 continue
             tenant, epoch = ev.payload
+            if tenant not in self._placement:
+                continue   # released by a migration; its timers linger
             shard = self.shards[self._placement[tenant]]
             acc = shard.tenants[tenant].accumulator
             if acc.epoch != epoch or len(acc) == 0:

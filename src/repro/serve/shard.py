@@ -119,7 +119,7 @@ class Shard:
         #: answered ``migrating`` with the cutover as the retry hint.
         self.migrating: dict[str, float] = {}
         #: chaos hook: raise :class:`ShardCrash` when ``flushes_done``
-        #: reaches this count (armed by the supervisor's kill plan).
+        #: reaches this count (armed by ``ClusterService.arm_worker_exit``).
         self.fail_at_flush: int | None = None
         #: non-empty flushes this shard has started (crash-hook clock).
         self.flushes_done = 0
@@ -157,16 +157,16 @@ class Shard:
         """Pending envelopes across every tenant accumulator."""
         return sum(len(ts.accumulator) for ts in self.tenants.values())
 
-    def windowed_volume(self) -> int:
-        """Windowed message volume across the shard's tenants.
+    def tenant_volumes(self) -> dict[str, int]:
+        """Windowed message volume per tenant (its profiler window).
 
-        Summed per-tenant profiler windows -- the load signal behind both
-        the supervisor's hot-spot rebalancer and the cluster bench's
-        per-shard imbalance statistic (max/mean of this value across
-        workers), so "hot" means the same thing in every plane.
+        The load signal behind both the cluster's hot-spot rebalancer
+        (which moves the hottest tenant of the hottest worker) and its
+        per-worker imbalance statistic (max/mean of the summed volumes),
+        so "hot" means the same thing in both.
         """
-        return sum(ts.profiler.profile().n_messages
-                   for ts in self.tenants.values())
+        return {name: ts.profiler.profile().n_messages
+                for name, ts in self.tenants.items()}
 
     def next_deadline_vt(self) -> float | None:
         """Earliest pending batch deadline across the shard's tenants.

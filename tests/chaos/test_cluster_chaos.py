@@ -83,9 +83,10 @@ def assert_replay_identity(cluster, service):
     assert cluster.report() == service.report()
 
 
+@pytest.mark.parametrize("start_method", ["fork", "inline"])
 @pytest.mark.parametrize("seed", SEEDS)
 class TestWorkerKill:
-    def test_cold_kill_mid_flush(self, seed):
+    def test_cold_kill_mid_flush(self, seed, start_method):
         """SIGKILL with no checkpoint: full-journal replay recovers."""
         wl = chaos_workload(seed)
         rng = np.random.default_rng(seed)
@@ -94,7 +95,7 @@ class TestWorkerKill:
         svc, _ = run_workload(wl, n_shards=2, seed=seed,
                               batching=BATCHING)
         cluster, _ = run_cluster_workload(
-            wl, n_workers=2, seed=seed, start_method="fork",
+            wl, n_workers=2, seed=seed, start_method=start_method,
             batching=BATCHING, arm_exit=(victim, after))
         assert len(cluster.recoveries) >= 1
         rec = cluster.recoveries[0]
@@ -105,7 +106,7 @@ class TestWorkerKill:
         assert_exactly_once(cluster)
         assert_replay_identity(cluster, svc)
 
-    def test_checkpointed_kill_mid_flush(self, seed):
+    def test_checkpointed_kill_mid_flush(self, seed, start_method):
         """SIGKILL after an explicit checkpoint: restore the blob, then
         replay only the journal suffix past its mark."""
         wl = chaos_workload(seed)
@@ -115,7 +116,7 @@ class TestWorkerKill:
         svc, _ = run_workload(wl, n_shards=2, seed=seed,
                               batching=BATCHING)
         cluster = ClusterService(n_workers=2, seed=seed,
-                                 start_method="fork", batching=BATCHING,
+                                 start_method=start_method, batching=BATCHING,
                                  checkpoint_every=10_000)
         for spec in wl.tenants:
             cluster.register(spec)
@@ -140,7 +141,7 @@ class TestWorkerKill:
             assert_exactly_once(cluster)
             assert_replay_identity(cluster, svc)
 
-    def test_kill_both_workers(self, seed):
+    def test_kill_both_workers(self, seed, start_method):
         """Independent kills on both workers in one run; both recover
         and the record is still exactly-once and bit-identical."""
         wl = chaos_workload(seed)
@@ -148,7 +149,7 @@ class TestWorkerKill:
         svc, _ = run_workload(wl, n_shards=2, seed=seed,
                               batching=BATCHING)
         cluster = ClusterService(n_workers=2, seed=seed,
-                                 start_method="fork", batching=BATCHING)
+                                 start_method=start_method, batching=BATCHING)
         for spec in wl.tenants:
             cluster.register(spec)
         with cluster:

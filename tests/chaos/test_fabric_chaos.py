@@ -34,8 +34,10 @@ SPAN = 4
 N_WORKERS = 3
 
 
-def run_suite(seed: int, arm: tuple[int, int] | None):
-    cl = ClusterService(n_workers=N_WORKERS, seed=seed, start_method="fork")
+def run_suite(seed: int, arm: tuple[int, int] | None,
+              start_method: str):
+    cl = ClusterService(n_workers=N_WORKERS, seed=seed,
+                        start_method=start_method)
     cl.register(TenantSpec(name="mpi", span=SPAN, autotune=False))
     with cl:
         if arm is not None:
@@ -60,15 +62,17 @@ def run_suite(seed: int, arm: tuple[int, int] | None):
     return record, keyed, report, recoveries
 
 
+@pytest.mark.parametrize("start_method", ["fork", "inline"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sigkill_mid_superstep_replays_identically(seed):
-    clean = run_suite(seed, arm=None)
+def test_sigkill_mid_superstep_replays_identically(seed, start_method):
+    clean = run_suite(seed, arm=None, start_method=start_method)
     assert clean[3] == 0
     # arm a worker that actually hosts sub-tenants, at a seed-varied
     # flush depth, so the kill lands inside a later superstep's flush
     armed_worker = [1, 2, 1][seed % 3]
     after = 1 + seed % 3
-    chaos = run_suite(seed, arm=(armed_worker, after))
+    chaos = run_suite(seed, arm=(armed_worker, after),
+                      start_method=start_method)
     assert chaos[3] >= 1, "the armed SIGKILL never fired"
     assert chaos[0] == clean[0], "collective results diverged"
     assert chaos[1] == clean[1], "keyed flush record diverged"

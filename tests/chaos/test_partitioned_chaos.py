@@ -32,8 +32,10 @@ EPOCHS = 4
 PARTITIONS = 8
 
 
-def run_epochs(seed: int, arm: tuple[int, int] | None):
-    cl = ClusterService(n_workers=N_WORKERS, seed=seed, start_method="fork")
+def run_epochs(seed: int, arm: tuple[int, int] | None,
+               start_method: str):
+    cl = ClusterService(n_workers=N_WORKERS, seed=seed,
+                        start_method=start_method)
     cl.register(TenantSpec(name="mpi", span=SPAN, autotune=False,
                            partitioned=True))
     with cl:
@@ -65,9 +67,10 @@ def run_epochs(seed: int, arm: tuple[int, int] | None):
     return out, keyed, report, recoveries
 
 
+@pytest.mark.parametrize("start_method", ["fork", "inline"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sigkill_between_epochs_replays_identically(seed):
-    clean = run_epochs(seed, arm=None)
+def test_sigkill_between_epochs_replays_identically(seed, start_method):
+    clean = run_epochs(seed, arm=None, start_method=start_method)
     assert clean[3] == 0
     assert clean[0] == [
         ([(seed, e, "a", i) for i in range(PARTITIONS)],
@@ -75,7 +78,8 @@ def test_sigkill_between_epochs_replays_identically(seed):
         for e in range(EPOCHS)]
     armed_worker = [1, 2, 1][seed % 3]
     after = 1 + seed % 3
-    chaos = run_epochs(seed, arm=(armed_worker, after))
+    chaos = run_epochs(seed, arm=(armed_worker, after),
+                       start_method=start_method)
     assert chaos[3] >= 1, "the armed SIGKILL never fired"
     assert chaos[0] == clean[0], "re-fired partition payloads diverged"
     assert chaos[1] == clean[1], "keyed flush record diverged"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,70 @@ def partial_match_pair(rng: np.random.Generator, n: int, match_fraction: float,
     src = reqs.src.copy()
     src[dead] = n_ranks + 1000  # unreachable rank
     return msgs, EnvelopeBatch(src, reqs.tag, reqs.comm)
+
+
+@dataclass
+class ClientRun:
+    """Outcome of :func:`drive_client`."""
+
+    tickets: list = field(default_factory=list)
+    transport_dropped: int = 0
+    retries: int = 0
+    gave_up: int = 0
+
+
+def drive_client(cluster, workload, *, drop_fraction: float = 0.0,
+                 drop_seed: int = 1, max_retries: int = 16) -> ClientRun:
+    """Drive a workload through a started inline cluster like a client.
+
+    ``drop_fraction`` simulates lossy transport: each arrival is dropped
+    before submission with that probability, drawn in arrival order from
+    a generator of its own (``drop_seed``) so transport chaos never
+    perturbs the service's random stream.  ``retryable``/``migrating``
+    tickets are honoured: the request re-enters the arrival queue at its
+    hinted virtual time, up to ``max_retries`` times.  Ends with the
+    batch-deadline run-out, a drain and a stats barrier.
+
+    Inline workers answer a submission before ``submit`` returns, except
+    when the submission killed its worker: the ticket then arrives with
+    the journal replay, which the barrier drives.
+    """
+    if not 0.0 <= drop_fraction < 1.0:
+        raise ValueError("drop_fraction must be in [0, 1)")
+    run = ClientRun()
+    drop_rng = np.random.default_rng(drop_seed)
+    # (vt, order, attempt, arrival) -- a retry re-enters at its hinted
+    # time with a fresh order key (deterministic tie-break).
+    queue = []
+    for order, arrival in enumerate(workload.arrivals):
+        if drop_fraction and drop_rng.random() < drop_fraction:
+            run.transport_dropped += 1
+        else:
+            queue.append((arrival.vt, order, 0, arrival))
+    heapq.heapify(queue)
+    order = len(workload.arrivals)
+    delay = cluster.batching.max_delay_vt
+    while queue:
+        vt, _, attempt, arrival = heapq.heappop(queue)
+        seq = cluster.submit(arrival.tenant, arrival.messages,
+                             arrival.requests, at_vt=vt)
+        if seq not in cluster.tickets:
+            cluster.sync()
+        ticket = cluster.tickets[seq]
+        run.tickets.append(ticket)
+        if ticket.retry_hinted:
+            if attempt + 1 > max_retries:
+                run.gave_up += 1
+                continue
+            run.retries += 1
+            retry_vt = (ticket.retry_after_vt
+                        if ticket.retry_after_vt is not None
+                        else cluster.now + delay)
+            heapq.heappush(queue, (max(retry_vt, cluster.now), order,
+                                   attempt + 1, arrival))
+            order += 1
+    if workload.arrivals:
+        cluster.advance_to(cluster.now + 2.0 * delay)
+    cluster.drain()
+    cluster.sync()
+    return run

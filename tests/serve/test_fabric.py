@@ -6,7 +6,7 @@ is result-identical to (a) the same collective on a direct
 :class:`~repro.mpi.process.Cluster` and (b) the single-shard serve path;
 and a same-seed fabric run is bit-identical between the in-process
 :class:`~repro.serve.service.MatchingService` and the multi-process
-:class:`~repro.serve.cluster.ClusterService` (fork and spawn).
+:class:`~repro.serve.cluster.ClusterService` (fork, spawn and inline).
 """
 
 from __future__ import annotations
@@ -251,10 +251,17 @@ def run_collectives_over(plane):
 
 class TestClusterIdentity:
     def test_fork_identity_full_suite(self):
+        self._identity_full_suite("fork")
+
+    def test_inline_identity_full_suite(self):
+        self._identity_full_suite("inline")
+
+    @staticmethod
+    def _identity_full_suite(start_method):
         svc = make_service(n_shards=3)
         out_s, fab_s = run_collectives_over(svc)
         rep_s = svc.report()
-        cl = ClusterService(n_workers=3, seed=7, start_method="fork")
+        cl = ClusterService(n_workers=3, seed=7, start_method=start_method)
         cl.register(TenantSpec(name="mpi", span=SPAN, autotune=False))
         with cl:
             out_c, fab_c = run_collectives_over(cl)

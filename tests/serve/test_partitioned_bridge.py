@@ -182,10 +182,17 @@ class TestErrorPaths:
 
 class TestClusterIdentity:
     def test_fork_bit_identity(self):
+        self._bit_identity("fork")
+
+    def test_inline_bit_identity(self):
+        self._bit_identity("inline")
+
+    @staticmethod
+    def _bit_identity(start_method):
         svc = make_service(3)
         out_s = drive_epochs(svc, epochs=3, partitions=8)
         rep_s = svc.report()
-        cl = ClusterService(n_workers=3, seed=7, start_method="fork")
+        cl = ClusterService(n_workers=3, seed=7, start_method=start_method)
         cl.register(TenantSpec(name="mpi", span=SPAN, autotune=False))
         with cl:
             out_c = drive_epochs(cl, epochs=3, partitions=8)
@@ -215,9 +222,15 @@ class TestNeighborhoodOverFabric:
         assert self._drive(bridge) == self._drive(direct)
 
     def test_bridge_matches_fork_cluster(self):
+        self._bridge_matches_cluster("fork")
+
+    def test_bridge_matches_inline_cluster(self):
+        self._bridge_matches_cluster("inline")
+
+    def _bridge_matches_cluster(self, start_method):
         svc = make_service(3)
         out_s = self._drive(CollectiveBridge(svc, "mpi"))
-        cl = ClusterService(n_workers=3, seed=7, start_method="fork")
+        cl = ClusterService(n_workers=3, seed=7, start_method=start_method)
         cl.register(TenantSpec(name="mpi", span=SPAN, autotune=False))
         with cl:
             out_c = self._drive(CollectiveBridge(cl, "mpi"))
