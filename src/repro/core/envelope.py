@@ -201,8 +201,15 @@ class EnvelopeBatch:
 
     @classmethod
     def empty(cls) -> "EnvelopeBatch":
-        """A zero-length batch."""
-        return cls(src=[], tag=[], comm=[])
+        """A zero-length batch of fresh int64 columns.
+
+        Built through the trusted :meth:`view`: an empty column has
+        nothing to validate, and empty batches are made on every flush
+        of an idle accumulator.
+        """
+        return cls.view(np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=np.int64))
 
     # -- snapshot format -------------------------------------------------------
 

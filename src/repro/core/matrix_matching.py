@@ -29,7 +29,13 @@ Two interchangeable implementations are provided:
   conflicting group (two columns bidding on the same warp-word).  Costs
   are charged analytically with *batched* ``add`` calls whose totals are
   bit-identical to the per-column charging they replace.  Used by
-  benchmarks.
+  benchmarks.  Its fixed cost scales with the block, not the warp: vote
+  packing visits only the lanes the block fills
+  (``min(warp_size, block_msgs)``), and a block that fits one warp has
+  a single vote row, which the reduce walks as Python ints with the
+  scalar reference's ffs pick and early exit instead of the batched
+  NumPy steps -- so a 2-envelope serve flush costs a few lane and
+  column steps, not a full 32-lane, 256-column pass.
 * :meth:`MatrixMatcher.match_pedantic` -- executes Algorithms 1 and 2
   verbatim on the :class:`~repro.simt.cta.CTA` / :class:`~repro.simt.warp.Warp`
   simulator, one warp instruction at a time.  Used by tests to validate
@@ -268,14 +274,22 @@ class MatrixMatcher:
         only for the first column of a conflicting group.  Costs are
         charged with batched ``add`` calls whose totals equal the
         per-column charging bit for bit (integer counts are exact in
-        float64).  Returns the number of columns visited before the
+        float64).  A block that fills a single vote row takes
+        :meth:`_reduce_one_warp` instead -- chosen by the input's shape,
+        not a knob.  Returns the number of columns visited before the
         block's messages were exhausted (early exit).
         """
         n_warps = votes.shape[0]
         block_msgs = plan.n_block_msgs
-        mask = np.full(n_warps, (1 << self.warp_size) - 1, dtype=np.int64)
         reduce_phase = ledger.phase("reduce", active_warps=1,
                                     overlap_group=self._overlap_group(plan))
+        if n_warps == 1:
+            visited, matched = self._reduce_one_warp(
+                votes[0], open_idx, unmatched_cols, out, msg_base,
+                block_msgs)
+            self._charge_reduce(reduce_phase, visited, matched)
+            return visited
+        mask = np.full(n_warps, (1 << self.warp_size) - 1, dtype=np.int64)
         n_open = int(open_idx.size)
         visited = 0
         matched = 0
@@ -351,9 +365,50 @@ class MatrixMatcher:
                     matched += 1
                 visited += 1
                 pos += 1
-        # Batched cost accounting: one add per op kind per block.  The
-        # totals are identical to charging per column (smem_load, ballot,
-        # 4 alu, branch per visited column; 3 alu, smem_store per match).
+        self._charge_reduce(reduce_phase, visited, matched)
+        return visited
+
+    def _reduce_one_warp(self, row: np.ndarray, open_idx: np.ndarray,
+                         unmatched_cols: np.ndarray, out: np.ndarray,
+                         msg_base: int, block_msgs: int) -> tuple[int, int]:
+        """Column reduce for a block that fills a single vote row.
+
+        A block of at most ``warp_size`` messages has one vote word per
+        column, so there is no lane ballot to resolve and no batch
+        conflict to detect: the walk is :meth:`_reduce_block_scalar`'s
+        per-column loop on Python ints -- ffs of the masked word picks
+        the lowest still-unconsumed message, and the loop exits at the
+        column that consumes the block's last message.  Returns
+        ``(visited, matched)``.
+        """
+        mask = (1 << self.warp_size) - 1
+        cols: list[int] = []
+        lanes: list[int] = []
+        visited = 0
+        for c, word in enumerate(row.tolist()):
+            visited += 1
+            masked = word & mask
+            if masked:
+                lane = (masked & -masked).bit_length() - 1
+                mask &= ~(1 << lane)
+                cols.append(c)
+                lanes.append(lane)
+                if len(cols) == block_msgs:
+                    break
+        if cols:
+            j = open_idx[cols]
+            out[j] = msg_base + np.asarray(lanes, dtype=np.int64)
+            unmatched_cols[j] = False
+        return visited, len(cols)
+
+    def _charge_reduce(self, reduce_phase, visited: int,
+                       matched: int) -> None:
+        """Batched cost accounting: one add per op kind per block.
+
+        The totals are identical to charging per column (smem_load,
+        ballot, 4 alu, branch per visited column; 3 alu, smem_store per
+        match).
+        """
         reduce_phase.add("smem_load", float(visited))
         reduce_phase.add("ballot", float(visited))
         reduce_phase.add("alu", 4.0 * visited + 3.0 * matched)
@@ -366,7 +421,6 @@ class MatrixMatcher:
         # messages": rate ~ matches, time ~ columns).
         reduce_phase.add("gmem_store",
                          2.0 * math.ceil(max(1, visited) / self.window))
-        return visited
 
     def _reduce_block_scalar(self, votes: np.ndarray, open_idx: np.ndarray,
                              unmatched_cols: np.ndarray, out: np.ndarray,
@@ -595,14 +649,17 @@ def _pack_block_votes(block_matrix: np.ndarray, n_warps: int,
 
     Accumulates one lane at a time so the largest temporary is a single
     (n_warps x n_req) int64 plane, not an (n_warps x warp_size x n_req)
-    cube.
+    cube.  Only the first ``min(warp_size, block_msgs)`` lanes are
+    visited: a lane at or beyond the block's message count sits in the
+    zero padding of every warp and would contribute nothing, so a
+    2-message block costs two lane steps, not ``warp_size``.
     """
     n_block, n_req = block_matrix.shape
     padded = np.zeros((n_warps * warp_size, n_req), dtype=bool)
     padded[:n_block] = block_matrix
     lanes = padded.reshape(n_warps, warp_size, n_req)
     votes = np.zeros((n_warps, n_req), dtype=np.int64)
-    for lane in range(warp_size):
+    for lane in range(min(warp_size, n_block)):
         votes |= lanes[:, lane, :].astype(np.int64) << np.int64(lane)
     return votes
 

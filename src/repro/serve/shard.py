@@ -15,8 +15,9 @@ The flush path is where every prior subsystem composes:
    batch violates the current relaxations (PR 2's degradation pattern);
 3. any pending retune cost is charged onto the outcome (the adaptive
    relaunch model);
-4. the profiler ingests the flushed stream and the autotuner decides
-   whether the *next* flush runs on a different Table II point;
+4. the profiler ingests the flushed stream and, for an autotuned
+   tenant, the autotuner reads the window profile and decides whether
+   the *next* flush runs on a different Table II point;
 5. the observability handle (PR 3) gets per-tenant spans, queue-depth
    gauges, and batch/shed/retune counters -- all behind one
    ``is None`` branch.
@@ -343,10 +344,12 @@ class Shard:
         ts.flush_seq += 1
         ts.matched_total += outcome.matched_count
         ts.results.append(result)
-        # profile the flushed stream and maybe retune for the next flush
+        # profile the flushed stream and maybe retune for the next flush;
+        # only an autotuned tenant reads the aggregated window profile
         ts.profiler.ingest(messages, requests, outcome)
-        new_rel = ts.autotuner.consider(ts.relaxations,
-                                        ts.profiler.profile(), now_vt)
+        new_rel = (ts.autotuner.consider(ts.relaxations,
+                                         ts.profiler.profile(), now_vt)
+                   if ts.spec.autotune else None)
         if new_rel is not None:
             event = ts.autotuner.events[-1]
             ts.engine = self._build_engine(ts.spec, new_rel)

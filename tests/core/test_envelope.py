@@ -87,6 +87,26 @@ class TestEnvelopeBatch:
         assert isinstance(sub, EnvelopeBatch)
         assert len(sub) == 2
 
+    def test_empty_is_a_usable_zero_length_batch(self):
+        a, b = EnvelopeBatch.empty(), EnvelopeBatch.empty()
+        for col in (a.src, a.tag, a.comm):
+            assert col.dtype == np.int64
+            assert col.shape == (0,)
+        assert len(a) == 0
+        assert a._packed is None
+        packed = a.packed()
+        assert packed.dtype == np.int64 and packed.size == 0
+        one = EnvelopeBatch(src=[1], tag=[2], comm=[3])
+        assert a.concatenate(one) == one
+        assert one.concatenate(a) == one
+        taken = a.take(np.array([], dtype=np.int64))
+        assert len(taken) == 0 and taken.src.dtype == np.int64
+        # independent objects: packing one never shows through the other
+        assert a is not b
+        assert a.src is not b.src and a.tag is not b.tag
+        assert a.comm is not b.comm
+        assert b._packed is None
+
     def test_from_envelopes_roundtrip(self):
         envs = [Envelope(1, 2), Envelope(3, 4, comm=1)]
         assert list(EnvelopeBatch.from_envelopes(envs)) == envs

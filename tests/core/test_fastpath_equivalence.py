@@ -18,7 +18,7 @@ from repro.bench.harness import (matching_workload, ordered_workload,
                                  partial_workload, reversed_workload)
 from repro.core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
 from repro.core.hash_matching import HashMatcher
-from repro.core.matrix_matching import MatrixMatcher
+from repro.core.matrix_matching import MatrixMatcher, _pack_block_votes
 from repro.core.partitioned import PartitionedMatcher
 from repro.obs import Observability
 from repro.simt.memory import GlobalMemory
@@ -103,6 +103,127 @@ def test_matrix_batched_equals_scalar_narrow_warps(warp_size):
         msgs, reqs, slow_ledger)
     assert np.array_equal(out_fast, out_slow)
     assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+
+
+# -- lane-bounded vote packing -------------------------------------------------
+
+
+def _pack_block_votes_all_lanes(block_matrix, n_warps, warp_size):
+    """Reference packing: visit every lane of the warp, whatever the block
+    holds (lanes past the block's messages read the zero padding)."""
+    n_block, n_req = block_matrix.shape
+    padded = np.zeros((n_warps * warp_size, n_req), dtype=bool)
+    padded[:n_block] = block_matrix
+    lanes = padded.reshape(n_warps, warp_size, n_req)
+    votes = np.zeros((n_warps, n_req), dtype=np.int64)
+    for lane in range(warp_size):
+        votes |= lanes[:, lane, :].astype(np.int64) << np.int64(lane)
+    return votes
+
+
+@pytest.mark.parametrize("n_block", [1, 2, 31, 32, 33, 1000, 1024])
+@pytest.mark.parametrize("warp_size", [4, 8, 16, 32])
+@pytest.mark.parametrize("n_req", [0, 97])
+def test_pack_block_votes_lane_bound_equals_all_lanes(n_block, warp_size,
+                                                      n_req):
+    rng = np.random.default_rng(n_block * 131 + warp_size * 7 + n_req)
+    block = rng.random((n_block, n_req)) < 0.3
+    n_warps = -(-n_block // warp_size)
+    fast = _pack_block_votes(block, n_warps, warp_size)
+    ref = _pack_block_votes_all_lanes(block, n_warps, warp_size)
+    assert fast.dtype == ref.dtype == np.int64
+    assert fast.shape == ref.shape == (n_warps, n_req)
+    assert np.array_equal(fast, ref)
+
+
+# -- one-warp reduce vs scalar reference ---------------------------------------
+
+
+def one_warp_block(n, seed=0):
+    """A block of ``n <= 32`` messages whose request queue mixes wildcard
+    requests, columns no message matches, and trailing full-wildcard
+    columns that soak up the leftovers, so the block's messages run out
+    before its last column (the early exit)."""
+    rng = np.random.default_rng(seed * 101 + n)
+    msgs = EnvelopeBatch.random(n, n_ranks=4, n_tags=4, rng=rng)
+    exact = msgs.take(rng.permutation(n))
+    src = np.where(rng.random(n) < 0.3, ANY_SOURCE, exact.src)
+    tag = np.where(rng.random(n) < 0.3, ANY_TAG, exact.tag)
+    n_miss = 1 + n // 4
+    miss_src = rng.integers(0, 4, n_miss)
+    miss_tag = np.full(n_miss, 99)              # no message carries tag 99
+    n_tail = n + 3
+    src = np.concatenate([src, miss_src, np.full(n_tail, ANY_SOURCE)])
+    tag = np.concatenate([tag, miss_tag, np.full(n_tail, ANY_TAG)])
+    head = rng.permutation(n + n_miss)          # misses interleave the head
+    order = np.concatenate([head, np.arange(n + n_miss, n + n_miss + n_tail)])
+    return msgs, EnvelopeBatch(src[order], tag[order])
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_matrix_one_warp_reduce_equals_scalar(n):
+    msgs, reqs = one_warp_block(n)
+    fast_ledger, slow_ledger = CostLedger(), CostLedger()
+    fast = MatrixMatcher(reduce_impl="batched")
+    out_fast, it_fast = fast.execute(msgs, reqs, fast_ledger)
+    out_slow, it_slow = MatrixMatcher(reduce_impl="scalar").execute(
+        msgs, reqs, slow_ledger)
+    assert np.array_equal(out_fast, out_slow)
+    assert it_fast == it_slow == 1
+    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+    ops = ("smem_load", "ballot", "alu", "branch", "smem_store", "gmem_store")
+    reduce_sig = {op: c for (name, _, _), counts in
+                  ledger_signature(fast_ledger).items() if name == "reduce"
+                  for op, c in counts.items()}
+    assert set(ops) <= set(reduce_sig)
+    # every message is consumed before the trailing wildcard columns end
+    assert np.count_nonzero(out_fast != -1) == n
+    assert reduce_sig["branch"] < len(reqs)      # columns visited
+    pedantic = fast.match_pedantic(msgs, reqs)
+    assert np.array_equal(pedantic.request_to_message, out_fast)
+    assert pedantic.matched_count == n
+
+
+@pytest.mark.parametrize("n,warp_size", [(1, 4), (3, 4), (4, 4), (3, 8),
+                                         (8, 8), (16, 16)])
+def test_matrix_one_warp_reduce_narrow_warps(n, warp_size):
+    msgs, reqs = one_warp_block(n, seed=1)
+    fast_ledger, slow_ledger = CostLedger(), CostLedger()
+    out_fast, _ = MatrixMatcher(warp_size=warp_size).execute(
+        msgs, reqs, fast_ledger)
+    out_slow, _ = MatrixMatcher(warp_size=warp_size,
+                                reduce_impl="scalar").execute(
+        msgs, reqs, slow_ledger)
+    assert np.array_equal(out_fast, out_slow)
+    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+
+
+@pytest.mark.parametrize("tail", [1, 5, 32])
+def test_matrix_one_warp_tail_block_equals_scalar(tail):
+    """The last block of a multi-block queue fits one vote row."""
+    msgs, reqs = reversed_workload(1024 + tail, seed=4)
+    fast_ledger, slow_ledger = CostLedger(), CostLedger()
+    out_fast, it_fast = MatrixMatcher().execute(msgs, reqs, fast_ledger)
+    out_slow, it_slow = MatrixMatcher(reduce_impl="scalar").execute(
+        msgs, reqs, slow_ledger)
+    assert it_fast == it_slow == 2
+    assert np.array_equal(out_fast, out_slow)
+    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+
+
+@pytest.mark.parametrize("n", [4, 17, 60, 100])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_partitioned_short_queues_batched_equals_scalar(n, seed):
+    """Per-queue blocks shorter than a warp take the one-warp reduce."""
+    msgs, reqs = matching_workload(n, seed=seed)
+    fast = PartitionedMatcher(n_queues=4, reduce_impl="batched").match(
+        msgs, reqs)
+    slow = PartitionedMatcher(n_queues=4, reduce_impl="scalar").match(
+        msgs, reqs)
+    assert np.array_equal(fast.request_to_message, slow.request_to_message)
+    assert fast.cycles == slow.cycles
+    assert fast.iterations == slow.iterations
+    assert fast.meta == slow.meta
 
 
 # -- fast path vs pedantic simulator ------------------------------------------
