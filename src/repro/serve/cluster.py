@@ -185,7 +185,6 @@ class ShardHost:
                 svc.register(spec_from_wire(spec_payload))
         self.svc = svc
         self.shard = svc.shards[0]
-        self._n_sent = len(svc.results)  # checkpointed results were routed
         #: CPU seconds spent handling frames.  CPU time, not wall time: on
         #: a host with fewer cores than workers, wall time inside a handler
         #: includes the periods this process was descheduled while
@@ -276,9 +275,13 @@ class ShardHost:
             return False
         else:
             raise WireError(f"worker cannot handle frame {kind!r}")
-        while self._n_sent < len(svc.results):
-            post("flush", flush_wire(svc.results[self._n_sent]))
-            self._n_sent += 1
+        # The router owns the routed record (and dedupes what a replay
+        # re-posts); keeping it here too would only make every
+        # checkpoint re-encode the whole run's history.
+        for result in svc.results:
+            post("flush", flush_wire(result))
+        svc.results.clear()
+        svc.tickets.clear()
         if reply is not None:
             post(*reply)
         self.busy += time.process_time() - t0

@@ -25,7 +25,7 @@ The flush path is where every prior subsystem composes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class TenantState:
     pending_retune_cycles: float = 0.0
     #: engine demotions already mirrored into the retune log
     demotions_seen: int = 0
-    results: list[FlushResult] = field(default_factory=list)
     #: persistent-UMQ carry-over (``None`` for stateless tenants)
     session: SessionState | None = None
 
@@ -343,7 +342,6 @@ class Shard:
             meta=meta)
         ts.flush_seq += 1
         ts.matched_total += outcome.matched_count
-        ts.results.append(result)
         # profile the flushed stream and maybe retune for the next flush;
         # only an autotuned tenant reads the aggregated window profile
         ts.profiler.ingest(messages, requests, outcome)

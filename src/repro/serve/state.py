@@ -525,8 +525,7 @@ def export_tenant(ts) -> dict:
             "requests_total": ts.requests_total,
             "pending_retune_seconds": ts.pending_retune_seconds,
             "pending_retune_cycles": ts.pending_retune_cycles,
-            "demotions_seen": ts.demotions_seen,
-            "results": [_flush_result_state(r) for r in ts.results]}
+            "demotions_seen": ts.demotions_seen}
 
 
 def install_tenant(shard, state: dict):
@@ -558,7 +557,6 @@ def install_tenant(shard, state: dict):
         pending_retune_seconds=float(state["pending_retune_seconds"]),
         pending_retune_cycles=float(state["pending_retune_cycles"]),
         demotions_seen=int(state["demotions_seen"]),
-        results=[_flush_result_from(r) for r in state["results"]],
         session=(None if state["session"] is None
                  else SessionState.from_state(state["session"])))
     shard.tenants[spec.name] = ts

@@ -2,7 +2,8 @@
 
 from .amr import Boxlib
 from .base import (AppModel, TraceBuilder, grid_dims, grid_neighbors,
-                   random_neighbors, ring_neighbors, skewed_neighbors)
+                   neighbor_pairs, random_neighbors, ring_neighbors,
+                   skewed_neighbors)
 from .cesar import MOCFE, NEKBONE, CrystalRouter
 from .designforward import AMG, MiniDFT, MiniFE, PARTISN, SNAP
 from .exact import CNS, MultiGrid
@@ -10,8 +11,8 @@ from .exmatex import CMC, LULESH
 
 __all__ = [
     "AppModel", "TraceBuilder",
-    "grid_dims", "grid_neighbors", "random_neighbors", "ring_neighbors",
-    "skewed_neighbors",
+    "grid_dims", "grid_neighbors", "neighbor_pairs", "random_neighbors",
+    "ring_neighbors", "skewed_neighbors",
     "AMG", "MiniDFT", "MiniFE", "PARTISN", "SNAP",
     "NEKBONE", "MOCFE", "CrystalRouter",
     "CNS", "MultiGrid", "LULESH", "CMC", "Boxlib",

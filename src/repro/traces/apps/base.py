@@ -19,70 +19,77 @@ import numpy as np
 from ..events import BARRIER, COLUMNS, POST, SEND, Trace
 
 __all__ = ["AppModel", "TraceBuilder", "grid_dims", "grid_neighbors",
-           "ring_neighbors", "random_neighbors", "skewed_neighbors"]
-
-_N_COLUMNS = len(COLUMNS)
+           "neighbor_pairs", "ring_neighbors", "random_neighbors",
+           "skewed_neighbors"]
 
 
 class TraceBuilder:
     """Accumulates events as column blocks with a monotonically
     increasing clock.
 
-    :meth:`exchange` and :meth:`barrier` append one column block each.
-    The scalar emits (:meth:`send`, :meth:`post`) append a row to a
-    pending buffer that becomes a block at the next block emit or at
-    :meth:`build`, so scalar-heavy models stay cheap.  ``len(builder)``
-    counts every event emitted so far (the phase marks of the Benchpark
-    models).
+    Every emit appends one column block: :meth:`emit` a run of sends
+    and posts given as arrays, :meth:`exchange` a whole phase over a
+    ``(src, dst)`` pair array, :meth:`barrier` one mark per rank.
+    :meth:`send` and :meth:`post` are one-row :meth:`emit` calls, for
+    tests and small hand-written streams; the models emit blocks.
+    ``len(builder)`` counts every event emitted so far (the phase marks
+    of the Benchpark models).
 
-    The synthetic clock has no physical meaning; only the *order* of
-    events matters to the analyses (it decides queue interleavings).
+    The synthetic clock ticks once per event.  It has no physical
+    meaning; only the *order* of events matters to the analyses (it
+    decides queue interleavings).
     """
 
     def __init__(self) -> None:
         self._blocks: list[tuple[np.ndarray, ...]] = []
-        self._n_blocked = 0
-        self._rows: list = []   # pending scalar rows, flattened
+        self._n = 0
         self._t = 0.0
 
     def __len__(self) -> int:
-        return self._n_blocked + len(self._rows) // _N_COLUMNS
+        return self._n
 
-    def _tick(self) -> float:
-        self._t += 1.0
-        return self._t
+    def _ticks(self, n: int) -> np.ndarray:
+        """Clock values of the next ``n`` events."""
+        times = self._t + np.arange(1, n + 1, dtype=np.float64)
+        self._t += n
+        return times
 
-    def _append(self, block: tuple[np.ndarray, ...]) -> None:
-        self._blocks.append(block)
-        self._n_blocked += int(block[0].size)
+    def _append(self, kind, times, rank, peer, tag, comm, nbytes) -> None:
+        self._blocks.append((kind, times, rank, peer, tag, comm, nbytes))
+        self._n += int(times.size)
 
-    def _flush(self) -> None:
-        """Turn the pending scalar rows into one column block."""
-        if self._rows:
-            rows = np.array(self._rows, dtype=np.float64)
-            rows = rows.reshape(-1, _N_COLUMNS).T
-            self._rows = []
-            self._append(tuple(rows))
+    def emit(self, kind, rank, peer, tag, comm=0, nbytes=0) -> None:
+        """Append sends and/or posts in the given order, one clock tick
+        each.
+
+        ``kind`` is :data:`SEND` or :data:`POST` per row; ``peer`` is a
+        send's dst or a post's (possibly wildcard ``-1``) src.  Scalars
+        broadcast against the array arguments.
+        """
+        kind, rank, peer, tag, comm, nbytes = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(c, dtype=np.int64))
+              for c in (kind, rank, peer, tag, comm, nbytes)))
+        self._append(kind, self._ticks(kind.size), rank, peer, tag, comm,
+                     nbytes)
 
     def send(self, rank: int, dst: int, tag: int, comm: int = 0,
              nbytes: int = 8) -> None:
-        """Record a send."""
-        self._rows.extend((SEND, self._tick(), rank, dst, tag, comm, nbytes))
+        """Record one send."""
+        self.emit(SEND, rank, dst, tag, comm, nbytes)
 
     def post(self, rank: int, src: int, tag: int, comm: int = 0) -> None:
-        """Record a receive post (src/tag may be -1)."""
-        self._rows.extend((POST, self._tick(), rank, src, tag, comm, 0))
+        """Record one receive post (src/tag may be -1)."""
+        self.emit(POST, rank, src, tag, comm)
 
     def barrier(self, n_ranks: int) -> None:
-        """Record a superstep boundary on every rank."""
-        self._flush()
-        t = self._tick()
-        ranks = np.arange(n_ranks)
+        """Record a superstep boundary on every rank (one clock tick)."""
+        self._t += 1.0
         zeros = np.zeros(n_ranks, dtype=np.int64)
-        self._append((np.full(n_ranks, BARRIER), np.full(n_ranks, t), ranks,
-                      np.full(n_ranks, -1), zeros, zeros, zeros))
+        self._append(np.full(n_ranks, BARRIER), np.full(n_ranks, self._t),
+                     np.arange(n_ranks), np.full(n_ranks, -1), zeros, zeros,
+                     zeros)
 
-    def exchange(self, pairs: Sequence[tuple[int, int]],
+    def exchange(self, pairs: np.ndarray | Sequence[tuple[int, int]],
                  tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                   np.ndarray | int],
                  comm_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -94,11 +101,13 @@ class TraceBuilder:
                  nbytes: int = 8) -> None:
         """One exchange phase over directed ``(src, dst)`` pairs.
 
-        ``tag_of(src, dst, k)`` names the tag of the k-th message on a
-        pair; ``comm_of`` likewise for the communicator (default 0).
-        Both are called once with the phase's whole ``src``/``dst``/``k``
-        arrays (pair-major, ``k`` fastest) and may return an array or a
-        scalar.
+        ``pairs`` is an ``(n, 2)`` integer array (as built once per
+        topology by :func:`neighbor_pairs`) or any sequence of
+        ``(src, dst)`` tuples.  ``tag_of(src, dst, k)`` names the tag of
+        the k-th message on a pair; ``comm_of`` likewise for the
+        communicator (default 0).  Both are called once with the phase's
+        whole ``src``/``dst``/``k`` arrays (pair-major, ``k`` fastest)
+        and may return an array or a scalar.
 
         ``prepost_fraction`` of the receives are posted *before* any send
         of the phase (they land in the PRQ and wait); the rest are posted
@@ -110,9 +119,7 @@ class TraceBuilder:
         over pairs.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        self._flush()
-        pairs = np.fromiter(chain.from_iterable(pairs), dtype=np.int64,
-                            count=2 * len(pairs)).reshape(-1, 2)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         m = msgs_per_pair
         src = np.repeat(pairs[:, 0], m)
         dst = np.repeat(pairs[:, 1], m)
@@ -128,22 +135,58 @@ class TraceBuilder:
         order = np.arange(len(pairs))
         rng.shuffle(order)
         sends = (order[:, None] * m + np.arange(m)).ravel()
-        # rows: receives posted before the sends, the sends, the rest
-        rows = np.concatenate([recvs[:n_pre], sends, recvs[n_pre:]])
-        is_send = np.zeros(2 * n, dtype=bool)
-        is_send[n_pre:n_pre + n] = True
-        rank = np.where(is_send, src[rows], dst[rows])
-        peer = np.where(is_send, dst[rows],
-                        np.where(wild[rows], -1, src[rows]))
-        self._append((np.where(is_send, SEND, POST),
-                      self._t + np.arange(1, 2 * n + 1, dtype=np.float64),
-                      rank, peer, tag[rows], comm[rows],
-                      np.where(is_send, nbytes, 0)))
-        self._t += 2 * n
+        # segments: receives posted before the sends, the sends, the rest
+        pre, late = recvs[:n_pre], recvs[n_pre:]
+        rows = np.concatenate([pre, sends, late])
+        recv_peer = np.where(wild, -1, src)
+        self._append(
+            np.repeat(np.array([POST, SEND, POST], dtype=np.int64),
+                      [n_pre, n, n - n_pre]),
+            self._ticks(2 * n),
+            np.concatenate([dst[pre], src[sends], dst[late]]),
+            np.concatenate([recv_peer[pre], dst[sends], recv_peer[late]]),
+            tag[rows], comm[rows],
+            np.repeat(np.array([0, nbytes, 0], dtype=np.int64),
+                      [n_pre, n, n - n_pre]))
+
+    def flood(self, bursts: np.ndarray,
+              tag_of: Callable[[np.ndarray], np.ndarray],
+              comm: int = 0, nbytes: int = 8) -> None:
+        """Gather floods onto every rank in turn, as one block.
+
+        Rank ``d`` (in rank order) receives ``bursts[d] // (n - 1)`` (at
+        least one) messages from every other rank: first all of the
+        flood's sends, source-major with ``k`` fastest, then ``d``'s
+        matching receive posts in the same order -- so the whole flood
+        sits in ``d``'s UMQ before the first post.  ``tag_of(k)`` names
+        the tag of a source's k-th message.  No RNG draws.
+        """
+        bursts = np.asarray(bursts, dtype=np.int64)
+        n = bursts.size
+        per_src = np.maximum(1, bursts // (n - 1))
+        # every (dst, src != dst) pair, dst-major, src ascending
+        pair_dst = np.repeat(np.arange(n), n - 1)
+        pair_src = np.tile(np.arange(n - 1), n)
+        pair_src += pair_src >= pair_dst
+        counts = per_src[pair_dst]
+        first = np.cumsum(counts) - counts
+        src = np.repeat(pair_src, counts)
+        dst = np.repeat(pair_dst, counts)
+        k = np.arange(src.size) - np.repeat(first, counts)
+        tag = np.broadcast_to(tag_of(k), k.shape)
+        # each message twice, as a send and as a post; a stable sort on
+        # (dst, send-before-post) keeps message order within each run
+        rows = np.argsort(np.concatenate([2 * dst, 2 * dst + 1]),
+                          kind="stable")
+        n_msgs = src.size
+        self.emit(np.repeat([SEND, POST], n_msgs)[rows],
+                  np.concatenate([src, dst])[rows],
+                  np.concatenate([dst, src])[rows],
+                  np.concatenate([tag, tag])[rows], comm,
+                  np.repeat([nbytes, 0], n_msgs)[rows])
 
     def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
         """Finalize into a :class:`Trace`."""
-        self._flush()
         # blocks keep their natural int64/float64 lanes; the trace casts
         # each concatenated column to its storage dtype once
         columns = {name: (np.concatenate([b[i] for b in self._blocks])
@@ -227,38 +270,49 @@ def grid_dims(n_ranks: int, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(dims, reverse=True))
 
 
+def _split_lists(src: np.ndarray, dst: np.ndarray,
+                 n_ranks: int) -> list[list[int]]:
+    """Per-rank neighbor lists from a src-major pair array."""
+    flat = dst.tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n_ranks)).tolist()
+    return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+
+
+def neighbor_pairs(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The ``(n, 2)`` int64 ``(src, dst)`` pair array of per-rank
+    neighbor lists, src-major in list order -- the form
+    :meth:`TraceBuilder.exchange` takes, built once per topology."""
+    counts = np.fromiter(map(len, nbrs), dtype=np.int64, count=len(nbrs))
+    dst = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64,
+                      count=int(counts.sum()))
+    return np.stack([np.repeat(np.arange(len(nbrs)), counts), dst], axis=1)
+
+
 def grid_neighbors(n_ranks: int, ndim: int = 3, corners: bool = False,
                    ) -> list[list[int]]:
     """Cartesian halo neighbors (non-periodic) for every rank.
 
-    ``corners=False`` gives the 2*ndim face stencil; ``corners=True`` the
-    full Moore neighborhood (8 in 2-D, 26 in 3-D) that halo codes like
-    LULESH exchange with.
+    ``corners=False`` gives the 2*ndim face stencil, ordered dimension-
+    major with -1 before +1; ``corners=True`` the full Moore
+    neighborhood (8 in 2-D, 26 in 3-D) that halo codes like LULESH
+    exchange with, in lexicographic offset order.  Ranks are laid out
+    row-major on :func:`grid_dims`; each list keeps the stencil order
+    and drops offsets that leave the grid.
     """
     dims = grid_dims(n_ranks, ndim)
-    coords = [np.unravel_index(r, dims) for r in range(n_ranks)]
-    index = {c: r for r, c in enumerate(coords)}
-    offsets: list[tuple[int, ...]] = []
     if corners:
-        grids = np.meshgrid(*[[-1, 0, 1]] * ndim, indexing="ij")
-        for off in zip(*[g.ravel() for g in grids]):
-            if any(off):
-                offsets.append(off)
+        offsets = np.stack(np.meshgrid(*[[-1, 0, 1]] * ndim, indexing="ij"),
+                           axis=-1).reshape(-1, ndim)
+        offsets = offsets[offsets.any(axis=1)]
     else:
-        for d in range(ndim):
-            for s in (-1, 1):
-                off = [0] * ndim
-                off[d] = s
-                offsets.append(tuple(off))
-    out: list[list[int]] = []
-    for r in range(n_ranks):
-        mine = []
-        for off in offsets:
-            c = tuple(int(x) + int(o) for x, o in zip(coords[r], off))
-            if all(0 <= ci < di for ci, di in zip(c, dims)):
-                mine.append(index[c])
-        out.append(mine)
-    return out
+        eye = np.eye(ndim, dtype=np.int64)
+        offsets = np.stack([-eye, eye], axis=1).reshape(-1, ndim)
+    coords = np.stack(np.unravel_index(np.arange(n_ranks), dims), axis=-1)
+    cand = coords[:, None, :] + offsets[None, :, :]   # rank x offset x dim
+    inside = ((cand >= 0) & (cand < np.asarray(dims))).all(axis=-1)
+    src, which = np.nonzero(inside)
+    dst = np.ravel_multi_index(tuple(cand[src, which].T), dims)
+    return _split_lists(src, dst, n_ranks)
 
 
 def ring_neighbors(n_ranks: int, hops: int = 1) -> list[list[int]]:
@@ -267,20 +321,34 @@ def ring_neighbors(n_ranks: int, hops: int = 1) -> list[list[int]]:
             for r in range(n_ranks)]
 
 
+def _symmetric_random(n_ranks: int, degrees: np.ndarray,
+                      rng: np.random.Generator) -> list[list[int]]:
+    """Rank ``r`` picks ``degrees[r]`` distinct peers other than itself;
+    every pick becomes an edge both ways.  Returns sorted per-rank
+    neighbor lists.
+
+    Exactly one ``rng.choice(n_ranks - 1, k, replace=False)`` per rank,
+    in rank order; indices at or above ``r`` shift up by one to skip
+    ``r`` itself -- the same draws as choosing from the list of the
+    other ranks.
+    """
+    picks = [rng.choice(n_ranks - 1, size=k, replace=False)
+             for k in degrees]
+    src = np.repeat(np.arange(n_ranks), degrees)
+    dst = np.concatenate(picks).astype(np.int64)
+    dst += dst >= src
+    keys = np.unique(np.concatenate([src * n_ranks + dst,
+                                     dst * n_ranks + src]))
+    return _split_lists(keys // n_ranks, keys % n_ranks, n_ranks)
+
+
 def random_neighbors(n_ranks: int, k: int,
                      rng: np.random.Generator) -> list[list[int]]:
     """Uniform random ``k``-neighbor sets (symmetrized, so degrees are
     approximately ``k`` and communication is two-way like real halo
-    exchanges)."""
-    k = min(k, n_ranks - 1)
-    nbrs = [set() for _ in range(n_ranks)]
-    for r in range(n_ranks):
-        choices = rng.choice([x for x in range(n_ranks) if x != r],
-                             size=k, replace=False)
-        for c in choices:
-            nbrs[r].add(int(c))
-            nbrs[int(c)].add(r)
-    return [sorted(s) for s in nbrs]
+    exchanges).  One RNG choice per rank, in rank order."""
+    return _symmetric_random(n_ranks, np.full(n_ranks, min(k, n_ranks - 1)),
+                             rng)
 
 
 def skewed_neighbors(n_ranks: int, k_min: int, k_max: int,
@@ -288,18 +356,13 @@ def skewed_neighbors(n_ranks: int, k_min: int, k_max: int,
                      hot_fraction: float = 0.1) -> list[list[int]]:
     """Irregular neighbor sets: a few 'hot' ranks talk to many peers.
 
-    Models the irregular rank-usage distribution the paper observes for
-    CESAR Nekbone and AMR Boxlib (Section VI-A), which unbalances
-    statically partitioned queues.
+    The first ``hot_fraction`` of the ranks pick ``k_max`` peers, the
+    rest ``k_min``; symmetrized like :func:`random_neighbors`.  Models
+    the irregular rank-usage distribution the paper observes for CESAR
+    Nekbone and AMR Boxlib (Section VI-A), which unbalances statically
+    partitioned queues.
     """
     hot = max(1, int(hot_fraction * n_ranks))
-    nbrs = [set() for _ in range(n_ranks)]
-    for r in range(n_ranks):
-        k = k_max if r < hot else k_min
-        k = min(k, n_ranks - 1)
-        choices = rng.choice([x for x in range(n_ranks) if x != r],
-                             size=k, replace=False)
-        for c in choices:
-            nbrs[r].add(int(c))
-            nbrs[int(c)].add(r)
-    return [sorted(s) for s in nbrs]
+    degrees = np.minimum(np.where(np.arange(n_ranks) < hot, k_max, k_min),
+                         n_ranks - 1)
+    return _symmetric_random(n_ranks, degrees, rng)

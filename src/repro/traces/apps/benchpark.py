@@ -21,7 +21,8 @@ import numpy as np
 
 from ..analyzer import distinct_rows
 from ..events import POST, SEND, Trace
-from .base import AppModel, TraceBuilder, grid_dims, random_neighbors
+from .base import (AppModel, TraceBuilder, grid_dims, neighbor_pairs,
+                   random_neighbors)
 
 __all__ = ["AMG2023", "Kripke", "Laghos", "pattern_summary"]
 
@@ -78,19 +79,18 @@ class AMG2023(_PhasedModel):
     N_LEVELS = 4
 
     def _level_pairs(self, n_ranks: int,
-                     rng: np.random.Generator) -> list[list[tuple[int, int]]]:
-        """Per-level directed halo pairs: each coarser level keeps every
-        4th rank of the finer one and densifies its stencil."""
+                     rng: np.random.Generator) -> list[np.ndarray]:
+        """Per-level directed halo pair arrays: each coarser level keeps
+        every 4th rank of the finer one and densifies its stencil."""
         levels = []
-        active = list(range(n_ranks))
+        active = np.arange(n_ranks)
         k = 3
         for _ in range(self.N_LEVELS):
             if len(active) < 2:
                 break
             nbrs = random_neighbors(len(active), k=min(k, len(active) - 1),
                                     rng=rng)
-            levels.append([(active[i], active[j])
-                           for i in range(len(active)) for j in nbrs[i]])
+            levels.append(active[neighbor_pairs(nbrs)])
             active = active[::4]
             k *= 2
         return levels
@@ -144,18 +144,21 @@ class Kripke(_PhasedModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         px, py = grid_dims(n_ranks, 2)
-        coord = [(r // py, r % py) for r in range(n_ranks)]
-        index = {c: r for r, c in enumerate(coord)}
+        ranks = np.arange(n_ranks)
+        x, y = ranks // py, ranks % py
+        # downstream edges of each sweep direction's wavefront: rank r
+        # forwards along x, then along y, where the grid continues
+        sweeps = []
+        for dx, dy in [(sx, sy) for sx in (1, -1) for sy in (1, -1)]:
+            nx = np.stack([x + dx, x], axis=1)
+            ny = np.stack([y, y + dy], axis=1)
+            inside = (nx >= 0) & (nx < px) & (ny >= 0) & (ny < py)
+            src, _ = np.nonzero(inside)
+            sweeps.append(np.stack([src, nx[inside] * py + ny[inside]],
+                                   axis=1))
         self._phase(b, "sweep")
         for _it in range(steps):
-            for octant, (dx, dy) in enumerate(
-                    [(sx, sy) for sx in (1, -1) for sy in (1, -1)] * 2):
-                # downstream edges of this octant's wavefront
-                pairs = []
-                for (x, y), r in index.items():
-                    for nx, ny in ((x + dx, y), (x, y + dy)):
-                        if (nx, ny) in index:
-                            pairs.append((r, index[(nx, ny)]))
+            for octant, pairs in enumerate(sweeps * 2):
                 b.exchange(pairs, tag_of=lambda s, d, k, o=octant: o,
                            msgs_per_pair=self.CHUNKS,
                            prepost_fraction=1.0, rng=rng)
@@ -187,8 +190,7 @@ class Laghos(_PhasedModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = random_neighbors(n_ranks, k=5, rng=rng)
-        pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
+        pairs = neighbor_pairs(random_neighbors(n_ranks, k=5, rng=rng))
         self._phase(b, "timestep")
         for _step in range(steps):
             b.exchange(pairs,

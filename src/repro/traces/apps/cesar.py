@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, ring_neighbors
+from .base import AppModel, TraceBuilder, neighbor_pairs, ring_neighbors
 
 __all__ = ["NEKBONE", "MOCFE", "CrystalRouter"]
 
@@ -43,25 +43,17 @@ class NEKBONE(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         n_hot = max(1, int(self.HOT_FRACTION * n_ranks))
-        nbrs = ring_neighbors(n_ranks, hops=4)
+        pairs = neighbor_pairs(ring_neighbors(n_ranks, hops=4))
+        bursts = np.where(np.arange(n_ranks) < n_hot, self.HOT_BURST,
+                          self.REGULAR_BURST)
         for _step in range(steps):
             # solver halo on communicator 0: moderate, mostly preposted
-            pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             b.exchange(pairs, tag_of=lambda s, d, k: k % 3,
                        comm_of=lambda s, d, k: 0,
                        msgs_per_pair=2, prepost_fraction=0.8, rng=rng)
             # gather/scatter flood on communicator 1: sends first, posts
             # after -- this is what builds the deep unexpected queues.
-            for dst in range(n_ranks):
-                burst = self.HOT_BURST if dst < n_hot else self.REGULAR_BURST
-                srcs = [s for s in range(n_ranks) if s != dst]
-                per_src = max(1, burst // len(srcs))
-                for s in srcs:
-                    for k in range(per_src):
-                        b.send(s, dst, tag=k % 7, comm=1)
-                for s in srcs:
-                    for k in range(per_src):
-                        b.post(dst, src=s, tag=k % 7, comm=1)
+            b.flood(bursts, tag_of=lambda k: k % 7, comm=1)
             b.barrier(n_ranks)
 
 
@@ -83,10 +75,9 @@ class MOCFE(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         nbrs = ring_neighbors(n_ranks, hops=8)
+        pairs = neighbor_pairs([ns[:4] for ns in nbrs])
         for step in range(steps):
             for angle in range(self.ANGLES):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in nbrs[s][:4]]
                 base = (step * self.ANGLES + angle) * self.SEGMENTS
                 # each pair carries a different characteristic segment
                 b.exchange(pairs,
@@ -114,13 +105,15 @@ class CrystalRouter(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         n_dims = max(1, int(np.floor(np.log2(n_ranks))))
+        ranks = np.arange(n_ranks)
+        stage_pairs = []
+        for d in range(n_dims):
+            partner = ranks ^ (1 << d)
+            keep = partner < n_ranks
+            stage_pairs.append(np.stack([ranks[keep], partner[keep]],
+                                        axis=1))
         for _step in range(steps):
-            for d in range(n_dims):
-                pairs = []
-                for s in range(n_ranks):
-                    partner = s ^ (1 << d)
-                    if partner < n_ranks:
-                        pairs.append((s, partner))
+            for d, pairs in enumerate(stage_pairs):
                 b.exchange(pairs, tag_of=lambda s, dd, k, dim=d: dim,
                            msgs_per_pair=2, prepost_fraction=0.6, rng=rng)
             b.barrier(n_ranks)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, grid_neighbors, random_neighbors
+from ..events import POST, SEND
+from .base import (AppModel, TraceBuilder, grid_neighbors, neighbor_pairs,
+                   random_neighbors)
 
 __all__ = ["AMG", "MiniDFT", "MiniFE", "PARTISN", "SNAP"]
 
@@ -49,13 +51,14 @@ class AMG(AppModel):
                       for k in self.LEVEL_DEGREES]
         # fine level is the true grid halo, not random
         level_nbrs[0] = grid_neighbors(n_ranks, ndim=3, corners=False)
+        level_pairs = [neighbor_pairs(nbrs) for nbrs in level_nbrs]
+        n_levels = len(level_pairs)
+        # down-sweep then up-sweep of the V-cycle
+        walk = list(range(n_levels)) + list(reversed(range(n_levels - 1)))
         for _step in range(steps):
-            # down-sweep then up-sweep of the V-cycle
-            for level in list(range(len(level_nbrs))) \
-                    + list(reversed(range(len(level_nbrs) - 1))):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in level_nbrs[level][s]]
-                b.exchange(pairs, tag_of=lambda s, d, k, lv=level: lv % 3,
+            for level in walk:
+                b.exchange(level_pairs[level],
+                           tag_of=lambda s, d, k, lv=level: lv % 3,
                            prepost_fraction=0.6, rng=rng)
             b.barrier(n_ranks)
 
@@ -82,13 +85,18 @@ class MiniDFT(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        groups = [list(range(g, min(g + self.GROUP_SIZE, n_ranks)))
+        groups = [np.arange(g, min(g + self.GROUP_SIZE, n_ranks))
                   for g in range(0, n_ranks, self.GROUP_SIZE)]
+        # all-to-all inside each group, src-major
+        group_pairs = []
+        for group in groups:
+            s, d = np.meshgrid(group, group, indexing="ij")
+            off = s != d
+            group_pairs.append(np.stack([s[off], d[off]], axis=1))
         tag_counter = 0
         for step in range(steps):
-            for gi, group in enumerate(groups):
+            for gi, (group, pairs) in enumerate(zip(groups, group_pairs)):
                 comm = gi % self.n_communicators
-                pairs = [(s, d) for s in group for d in group if s != d]
                 base = tag_counter
                 b.exchange(
                     pairs,
@@ -115,19 +123,18 @@ class MiniFE(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = grid_neighbors(n_ranks, ndim=3, corners=False)
+        halo = neighbor_pairs(grid_neighbors(n_ranks, ndim=3,
+                                             corners=False))
+        others = np.arange(1, n_ranks)
         for _step in range(steps):
-            halo = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             b.exchange(halo, tag_of=lambda s, d, k: 0,
                        prepost_fraction=0.75, rng=rng)
             # convergence check: contributions gathered at rank 0 with
             # ANY_SOURCE, but only every few iterations so rank 0 does
             # not dominate the traffic distribution
             if _step % 4 == 0:
-                for s in range(1, n_ranks):
-                    b.send(s, 0, tag=1)
-                for _ in range(1, n_ranks):
-                    b.post(0, src=-1, tag=1)
+                b.emit(SEND, others, 0, tag=1, nbytes=8)
+                b.emit(POST, np.zeros_like(others), -1, tag=1)
             b.barrier(n_ranks)
 
 
@@ -148,14 +155,14 @@ class PARTISN(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
+        # downstream edges: each rank's first two face neighbors
         nbrs = grid_neighbors(n_ranks, ndim=2, corners=False)
+        pairs = neighbor_pairs([ns[:2] for ns in nbrs])
         for step in range(steps):
             for octant in range(self.OCTANTS):
                 for plane in range(self.PLANES):
                     tag = ((step * self.OCTANTS + octant) * self.PLANES
                            + plane) % 60000
-                    pairs = [(s, d) for s in range(n_ranks)
-                             for d in nbrs[s][:2]]
                     b.exchange(pairs, tag_of=lambda s, d, k, t=tag: t,
                                prepost_fraction=0.3, rng=rng)
             b.barrier(n_ranks)
@@ -177,10 +184,9 @@ class SNAP(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         nbrs = grid_neighbors(n_ranks, ndim=2, corners=False)
+        pairs = neighbor_pairs([ns[:2] for ns in nbrs])
         for _step in range(steps):
             for octant in range(self.OCTANTS):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in nbrs[s][:2]]
                 b.exchange(pairs, tag_of=lambda s, d, k, o=octant: o,
                            msgs_per_pair=4, prepost_fraction=0.5, rng=rng)
             b.barrier(n_ranks)

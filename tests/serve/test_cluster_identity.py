@@ -290,6 +290,30 @@ class TestRouterHardening:
             assert any(r.worker_id == src for r in cluster.recoveries)
             assert cluster._tenant_blobs == {}
 
+    def test_checkpoint_size_does_not_grow_with_run_length(self):
+        """A worker checkpoint holds live state only: flush results and
+        tickets already posted to the router are its record, not the
+        worker's, so a steady stream's checkpoint stays flat."""
+        n = 16
+        msgs = EnvelopeBatch(src=np.arange(n) % 4, tag=np.arange(n) % 3)
+        cluster = ClusterService(
+            n_workers=1, seed=0, start_method=self.start_method,
+            checkpoint_every=10**6,
+            batching=BatchPolicy(max_envelopes=n, max_delay_vt=1.0))
+        cluster.register(TenantSpec(name="steady", autotune=False))
+        sizes = []
+        with cluster:
+            vt = 0.0
+            for _ in range(2):
+                for _ in range(32):
+                    vt += 1e-3
+                    cluster.submit("steady", msgs, msgs, at_vt=vt)
+                cluster.sync()
+                cluster.checkpoint_now()
+                sizes.append(len(cluster._workers[0].checkpoint))
+            assert len(cluster.results) == 64   # one flush per submit
+        assert sizes[1] < 1.5 * sizes[0]
+
     def test_arm_exit_reports_delivery(self):
         cluster = ClusterService(n_workers=1, seed=0,
                                  start_method=self.start_method)

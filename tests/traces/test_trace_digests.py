@@ -1,8 +1,10 @@
 """Pinned digests of every app model's event stream and loadgen chunks.
 
-The digests were computed from the event records of the object-per-
-event trace representation, before traces became columnar, and must
-never change: any drift in an app model's RNG draw order, event order or
+The default-scale digests were computed from the event records of the
+object-per-event trace representation, before traces became columnar;
+the ``steps=16`` and 12-rank pins were computed from the per-rank list
+topology helpers, before those became array-native.  None may ever
+change: any drift in an app model's RNG draw order, event order or
 field values shows up here.  Each event contributes
 ``(kind, time, rank, peer, tag, comm, nbytes)``; ``peer`` is the dst of
 a send, the (possibly wildcard) src of a receive post, and -1 for a
@@ -172,15 +174,89 @@ CHUNK_DIGESTS: dict[str, str] = {
 }
 
 
+#: ``trace_pipeline`` settings (``steps=16``) of the three loadgen apps.
+PIPELINE_DIGESTS: dict[tuple[str, int], str] = {
+    ('df_minife', 0):
+        "32c4cc2004a1cd1531b320d66cb16905e99c01289308682e519f524746cf7824",
+    ('df_minife', 1):
+        "c80fa455b8a06f4a310e669b5770e88e18c002a88cd7397d427a59a18a5c3f21",
+    ('df_minife', 2):
+        "2982bfd93c32aed51df6b2483aac544c23a1de477f7b32c3dc5f27ab5ff0c833",
+    ('exmatex_lulesh', 0):
+        "584d6a0e1d5737e7892f94f42c3dd8e11c52076f269b2c87d7ff27a0da4c7a13",
+    ('exmatex_lulesh', 1):
+        "073f2fa0b4c6e1dd78a5c22fc334337f77720dda560c1c9ece2d137b880f8617",
+    ('exmatex_lulesh', 2):
+        "8f6b5b9bb7798b9f2736dc3b8c98cd66a349dfcac7ea16d14e5281983eff4715",
+    ('df_amg', 0):
+        "af1a63ff1eb409f6805aa1f6c1b1107bb0555e2b66b7469aa58b4489ee1903fe",
+    ('df_amg', 1):
+        "93af33258cbcdd65205d092e276ab329a8d5e4541f96960859e4a30e18bec902",
+    ('df_amg', 2):
+        "46a4b1525e56e2c194a0b2c5c8277fc3d07720e0fb3bf3e7925e7c879d5eeea1",
+}
+
+#: Every model at a rank count that is not a cube, seed 0.
+RANKS12_DIGESTS: dict[str, str] = {
+    'df_amg':
+        "6daaa9df98efb7f85916ef4dd77993b8b5e6f8fa9b7439b8be0b581a6b269df1",
+    'df_minidft':
+        "0b063ea991172b931611508fdbcc8d9ebea431c2c238b10a4a234f06c7ee56f1",
+    'df_minife':
+        "b63273fd3fda7247903d35b89e97d092f240d77bd2423b12dd234599dc1b0c20",
+    'df_partisn':
+        "352f7c435a20adbdd54609f74aeca60f18b89cc77e4a00e71e1dbb02acde0816",
+    'df_snap':
+        "dc1de3fc9ce61d2e876a43ef439bce324ff2f1e168a765e85203e14424c891ed",
+    'cesar_nekbone':
+        "318ee8ef2385bc5c9ac91a793740c0aee67168776463a21fe739aa490017444f",
+    'cesar_mocfe':
+        "829fbedbe2c1c05505067bde2eb8d03941ec68c7464dc70c84078452ac5438f2",
+    'cesar_crystalrouter':
+        "19fd8fccb2348cf79c12b20d7774c768951262c3ae452a1b09c2139b3dcc6c69",
+    'exact_cns':
+        "b29c6e42ed5aec06ff31ca53cc4540fff3a162edf5afe30ff5eeaf7930531109",
+    'exact_multigrid':
+        "84d8dda0437ce7ff5acbf1b6c40f006ecfb140790e5fc89982988f063afb86bd",
+    'exmatex_lulesh':
+        "df404992d06a730f9030056ae97e7ac2a2f396d5afd307ab1cfe96da28b6715d",
+    'exmatex_cmc':
+        "f92fb92cac7b2b72db50941ec56e1a5543c2325c7ef89d36782e084e2cd595a6",
+    'amr_boxlib':
+        "e841af9df641207d0644bf5f7619528a586887a535fb4024bf8fec29c0971b3c",
+    'bp_amg2023':
+        "c2306620f0c9f398c56cab25afe98b8b42bf3ff3d54d0d9164193e9f97843615",
+    'bp_kripke':
+        "1a4fac9a310c93fe4e2e2d25e08ba47b4ae97807517c697862fb0c62acc5e872",
+    'bp_laghos':
+        "71b2ab6f2d4b85dea1faa3b0620b44e36f3f0065916780bd3d17a40e0853321f",
+}
+
+
 def test_every_model_is_pinned():
     assert set(TRACE_DIGESTS) == {(a, s) for a in app_names() for s in SEEDS}
     assert set(CHUNK_DIGESTS) == {a for a, _ in DEFAULT_BENCH_APPS}
+    assert set(PIPELINE_DIGESTS) == {(a, s) for a in CHUNK_DIGESTS
+                                     for s in SEEDS}
+    assert set(RANKS12_DIGESTS) == set(app_names())
 
 
 @pytest.mark.parametrize("app,seed", sorted(TRACE_DIGESTS))
 def test_event_stream_digest(app, seed):
     assert trace_digest(generate_trace(app, seed=seed)) == \
         TRACE_DIGESTS[(app, seed)]
+
+
+@pytest.mark.parametrize("app,seed", sorted(PIPELINE_DIGESTS))
+def test_pipeline_event_stream_digest(app, seed):
+    assert trace_digest(generate_trace(app, steps=16, seed=seed)) == \
+        PIPELINE_DIGESTS[(app, seed)]
+
+
+@pytest.mark.parametrize("app", sorted(RANKS12_DIGESTS))
+def test_twelve_rank_event_stream_digest(app):
+    assert trace_digest(generate_trace(app, n_ranks=12, seed=0)) == \
+        RANKS12_DIGESTS[app]
 
 
 @pytest.mark.parametrize("app", app_names())
