@@ -22,33 +22,36 @@ the scan warps fill the next.  The pipelining collapses at 1024 messages
 
 Two interchangeable implementations are provided:
 
-* :meth:`MatrixMatcher.match` -- array-native fast path: the scan builds
-  its vote matrix per message block (peak memory O(block x open columns),
-  never the full dense matrix), and the reduce resolves whole batches of
-  columns per NumPy step, falling back to a scalar pick only inside a
-  conflicting group (two columns bidding on the same warp-word).  Costs
-  are charged analytically with *batched* ``add`` calls whose totals are
-  bit-identical to the per-column charging they replace.  Used by
-  benchmarks.  Its fixed cost scales with the block, not the warp: vote
-  packing visits only the lanes the block fills
-  (``min(warp_size, block_msgs)``), and a block that fits one warp has
-  a single vote row, which the reduce walks as Python ints with the
-  scalar reference's ffs pick and early exit instead of the batched
-  NumPy steps -- so a 2-envelope serve flush costs a few lane and
-  column steps, not a full 32-lane, 256-column pass.
+* :meth:`MatrixMatcher.match` -- host fast path.  The modeled GPU still
+  scans and reduces column by column, but the host resolves each message
+  block by a **rank join** and never builds the vote matrix: the reduce's
+  ffs pick is "the lowest-index still-unconsumed message the column
+  accepts", and without wildcards every (comm, src, tag) tuple class is
+  an independent FIFO queue (Section VI).  The block's messages are
+  bucketed by packed key in index order; the open columns are walked in
+  posted order, a concrete column taking the head of its class and a
+  wildcard column the head of the bucket of messages that agree on its
+  non-wildcard fields (buckets of consumed messages are skipped); the
+  walk stops at the column that consumes the block's last message.  The
+  walk yields each block's ``(visited, matched)`` counts, from which the
+  scan and reduce costs are charged analytically with one ``add`` per op
+  kind -- totals bit-identical to per-column charging.  Used by
+  benchmarks.  The vote matrix of a block is built only when
+  observability is attached (for ``matrix.vote_occupancy``).
 * :meth:`MatrixMatcher.match_pedantic` -- executes Algorithms 1 and 2
   verbatim on the :class:`~repro.simt.cta.CTA` / :class:`~repro.simt.warp.Warp`
   simulator, one warp instruction at a time.  Used by tests to validate
   the fast path (identical assignments).
 
-The pre-batching scalar reduce is retained as ``reduce_impl="scalar"``
+The per-column vote-matrix reduce is retained as ``reduce_impl="scalar"``
 and is asserted bit-identical (match vector and per-op ledger totals) to
-the batched reduce by ``tests/core/test_fastpath_equivalence.py``.
+the rank join by ``tests/core/test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +61,7 @@ from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from ..simt.memory import SMEM_WORD_BYTES
 from ..simt.timing import CostLedger, TimingModel
 from ..simt.warp import WARP_SIZE, ffs32, full_active
-from .envelope import EnvelopeBatch
+from .envelope import ANY_SOURCE, ANY_TAG, MAX_SRC, MAX_TAG, EnvelopeBatch
 from .result import NO_MATCH, MatchOutcome
 
 __all__ = ["MatrixMatcher", "DEFAULT_WINDOW"]
@@ -69,9 +72,14 @@ __all__ = ["MatrixMatcher", "DEFAULT_WINDOW"]
 #: per-CTA limit.
 DEFAULT_WINDOW = 64
 
-#: Columns the batched reduce resolves per vectorized step.  Purely a
-#: host-side knob: any value produces the same matches and ledger.
-REDUCE_BATCH = 256
+#: Bits of a packed ``comm:16 | src:32 | tag:16`` key that a request
+#: compares, indexed by its wildcard family ``any_source + 2 * any_tag``.
+_FAMILY_MASKS = (
+    (1 << 64) - 1,
+    ((1 << 64) - 1) ^ (MAX_SRC << 16),
+    ((1 << 64) - 1) ^ MAX_TAG,
+    ((1 << 64) - 1) ^ ((MAX_SRC << 16) | MAX_TAG),
+)
 
 
 @dataclass
@@ -114,10 +122,12 @@ class MatrixMatcher:
         on queues shorter than 32 and let more matrix rows pack into the
         same thread budget.
     reduce_impl:
-        ``"batched"`` (default) resolves whole batches of reduce columns
-        per NumPy step; ``"scalar"`` is the pre-batching per-column loop,
-        kept as the bit-identical reference for equivalence tests.  Both
-        produce the same matches and the same ledger totals.
+        ``"batched"`` (default) resolves each message block by the
+        tuple-class rank join, without a vote matrix; ``"scalar"`` builds
+        the block's vote matrix and walks it column by column with the
+        ffs picks of Algorithm 2, kept as the bit-identical reference for
+        equivalence tests.  Both produce the same matches and the same
+        ledger totals.
     obs:
         Optional :class:`~repro.obs.Observability` handle.  When absent
         (default) the hot path takes a single ``is None`` branch and the
@@ -200,30 +210,44 @@ class MatrixMatcher:
 
         block = self.messages_per_iteration
         n_blocks = math.ceil(n_msg / block)
-        unmatched_cols = np.ones(n_req, dtype=bool)
-        reduce = (self._reduce_block if self.reduce_impl == "batched"
-                  else self._reduce_block_scalar)
+        scalar = self.reduce_impl == "scalar"
+        if scalar:
+            unmatched_cols = np.ones(n_req, dtype=bool)
+        else:
+            msg_keys, _ = _class_keys(messages)
+            req_keys, families = _class_keys(requests)
+        cols = list(range(n_req))          # open columns, posted order
+        hit_cols: list[int] = []
+        hit_msgs: list[int] = []
 
         for b in range(n_blocks):
             lo, hi = b * block, min((b + 1) * block, n_msg)
-            open_idx = np.nonzero(unmatched_cols)[0]
-            open_cols = int(open_idx.size)
-            plan = self._plan(hi - lo, open_cols)
-            # Blockwise scan: only this block's rows and only the still
-            # open columns are materialized, so peak memory is
-            # O(block x open columns), never O(n_msg x n_req).
-            block_mtx = messages.match_block(requests[open_idx], lo, hi)
-            # Pack votes: one int per (warp, open column).
-            votes = _pack_block_votes(block_mtx, plan.n_warps,
-                                      self.warp_size)
+            plan = self._plan(hi - lo, len(cols))
+            if scalar or self._obs is not None:
+                # Blockwise scan: only this block's rows and only the
+                # still open columns are materialized.
+                open_idx = np.asarray(cols, dtype=np.int64)
+                block_mtx = messages.match_block(requests[open_idx], lo, hi)
             if self._obs is not None:
                 self._obs.count("matrix.blocks")
                 if block_mtx.size:
                     self._obs.observe(
                         "matrix.vote_occupancy",
                         float(np.count_nonzero(block_mtx)) / block_mtx.size)
-            visited = reduce(votes, open_idx, unmatched_cols, out, lo,
-                             ledger, plan)
+            if scalar:
+                votes = _pack_block_votes(block_mtx, plan.n_warps,
+                                          self.warp_size)
+                visited = self._reduce_block_scalar(
+                    votes, open_idx, unmatched_cols, out, lo, ledger, plan)
+                cols = open_idx[unmatched_cols[open_idx]].tolist()
+            else:
+                reduce_phase = ledger.phase(
+                    "reduce", active_warps=1,
+                    overlap_group=self._overlap_group(plan))
+                visited, matched, cols = _rank_join(
+                    msg_keys, lo, hi, cols, req_keys, families,
+                    hit_cols, hit_msgs)
+                self._charge_reduce(reduce_phase, visited, matched)
             if self._obs is not None:
                 self._obs.count("matrix.columns_visited", float(visited))
             # The scan pipeline only fills the windows the reduce actually
@@ -231,11 +255,13 @@ class MatrixMatcher:
             # remaining columns are skipped (this is why an in-order
             # receive queue is cheap beyond 1024 entries and a reversed
             # one is not -- Section V-B).
-            scanned = min(open_cols,
+            scanned = min(plan.n_columns,
                           math.ceil(visited / self.window) * self.window)
             self._charge_scan(ledger, self._plan(hi - lo, scanned))
-            if not unmatched_cols.any():
+            if not cols:
                 break
+        if hit_cols:
+            out[hit_cols] = hit_msgs
         if self.compaction and self._should_compact(out, n_req):
             self._charge_compaction(ledger, n_msg, n_req)
         return out, n_blocks
@@ -257,149 +283,6 @@ class MatrixMatcher:
         n_chunks = math.ceil(n_open_columns / self.window) if n_open_columns else 0
         return _PhasePlan(n_block_msgs=n_block_msgs, n_warps=n_warps,
                           n_columns=n_open_columns, n_chunks=n_chunks)
-
-    def _reduce_block(self, votes: np.ndarray, open_idx: np.ndarray,
-                      unmatched_cols: np.ndarray, out: np.ndarray,
-                      msg_base: int, ledger: CostLedger,
-                      plan: _PhasePlan) -> int:
-        """Batched sequential column reduce.
-
-        Functionally identical to :meth:`_reduce_block_scalar` (the modeled
-        GPU still walks columns one by one; only the *host* resolves them
-        in batches): each column, in posted order, matches the
-        lowest-numbered still-unconsumed message among its candidates.
-        Columns of a batch are independent unless two of them bid on the
-        same warp-word bit, so a batch commits the conflict-free prefix of
-        its picks in one vectorized step and falls back to a scalar pick
-        only for the first column of a conflicting group.  Costs are
-        charged with batched ``add`` calls whose totals equal the
-        per-column charging bit for bit (integer counts are exact in
-        float64).  A block that fills a single vote row takes
-        :meth:`_reduce_one_warp` instead -- chosen by the input's shape,
-        not a knob.  Returns the number of columns visited before the
-        block's messages were exhausted (early exit).
-        """
-        n_warps = votes.shape[0]
-        block_msgs = plan.n_block_msgs
-        reduce_phase = ledger.phase("reduce", active_warps=1,
-                                    overlap_group=self._overlap_group(plan))
-        if n_warps == 1:
-            visited, matched = self._reduce_one_warp(
-                votes[0], open_idx, unmatched_cols, out, msg_base,
-                block_msgs)
-            self._charge_reduce(reduce_phase, visited, matched)
-            return visited
-        mask = np.full(n_warps, (1 << self.warp_size) - 1, dtype=np.int64)
-        n_open = int(open_idx.size)
-        visited = 0
-        matched = 0
-        pos = 0
-        while pos < n_open and matched < block_msgs:
-            end = min(pos + REDUCE_BATCH, n_open)
-            b = end - pos
-            masked = votes[:, pos:end] & mask[:, None]
-            has = masked.any(axis=0)
-            if not has.any():
-                visited += b
-                pos = end
-                continue
-            # Per-column pick under the batch-entry mask: first warp with
-            # a candidate (ffs over the lane ballot), then the lowest set
-            # bit of its vote word (ffs within the word) -- i.e. the
-            # minimum message id among the column's candidates.
-            first_warp = np.argmax(masked != 0, axis=0)
-            word = masked[first_warp, np.arange(b)]
-            lane = np.zeros(b, dtype=np.int64)
-            low = word[has] & -word[has]
-            # exact: low is a power of two <= 2**31
-            lane[has] = np.log2(low.astype(np.float64)).astype(np.int64)
-            pick = np.where(has, first_warp * self.warp_size + lane, -1)
-            # A pick is wrong only if an *earlier* column of the batch
-            # consumed the same message: find the first duplicated pick.
-            # (If an earlier column consumed a non-minimum candidate of a
-            # later column, the later column's minimum -- its pick -- is
-            # untouched, so distinct picks are exactly the sequential
-            # result.)
-            order = np.argsort(pick, kind="stable")
-            sorted_pick = pick[order]
-            dup_sorted = np.zeros(b, dtype=bool)
-            dup_sorted[1:] = ((sorted_pick[1:] == sorted_pick[:-1])
-                              & (sorted_pick[1:] >= 0))
-            is_dup = np.zeros(b, dtype=bool)
-            is_dup[order] = dup_sorted
-            take = int(np.argmax(is_dup)) if is_dup.any() else b
-            # Early exit: stop at the column that consumes the block's
-            # last message, exactly like the scalar loop.
-            cum = np.cumsum(has[:take])
-            exhausted = cum.size > 0 and matched + int(cum[-1]) >= block_msgs
-            if exhausted:
-                take = int(np.argmax(matched + cum >= block_msgs)) + 1
-            sel = np.nonzero(has[:take])[0]
-            if sel.size:
-                picks = pick[sel]
-                cols = open_idx[pos + sel]
-                out[cols] = msg_base + picks
-                unmatched_cols[cols] = False
-                consumed = np.zeros(n_warps, dtype=np.int64)
-                np.bitwise_or.at(consumed, picks // self.warp_size,
-                                 np.int64(1) << (picks % self.warp_size))
-                mask &= ~consumed
-                matched += int(sel.size)
-            visited += take
-            pos += take
-            if matched >= block_msgs:
-                break
-            if take < b and not exhausted:
-                # Scalar fallback for the first column of the conflicting
-                # group; the rest of the batch re-bids under the updated
-                # mask on the next pass.
-                col_word = votes[:, pos] & mask
-                bidders = np.nonzero(col_word)[0]
-                if bidders.size:
-                    w = int(bidders[0])
-                    lane_match = ffs32(int(col_word[w])) - 1
-                    j = open_idx[pos]
-                    out[j] = msg_base + w * self.warp_size + lane_match
-                    mask[w] &= ~(1 << lane_match)
-                    unmatched_cols[j] = False
-                    matched += 1
-                visited += 1
-                pos += 1
-        self._charge_reduce(reduce_phase, visited, matched)
-        return visited
-
-    def _reduce_one_warp(self, row: np.ndarray, open_idx: np.ndarray,
-                         unmatched_cols: np.ndarray, out: np.ndarray,
-                         msg_base: int, block_msgs: int) -> tuple[int, int]:
-        """Column reduce for a block that fills a single vote row.
-
-        A block of at most ``warp_size`` messages has one vote word per
-        column, so there is no lane ballot to resolve and no batch
-        conflict to detect: the walk is :meth:`_reduce_block_scalar`'s
-        per-column loop on Python ints -- ffs of the masked word picks
-        the lowest still-unconsumed message, and the loop exits at the
-        column that consumes the block's last message.  Returns
-        ``(visited, matched)``.
-        """
-        mask = (1 << self.warp_size) - 1
-        cols: list[int] = []
-        lanes: list[int] = []
-        visited = 0
-        for c, word in enumerate(row.tolist()):
-            visited += 1
-            masked = word & mask
-            if masked:
-                lane = (masked & -masked).bit_length() - 1
-                mask &= ~(1 << lane)
-                cols.append(c)
-                lanes.append(lane)
-                if len(cols) == block_msgs:
-                    break
-        if cols:
-            j = open_idx[cols]
-            out[j] = msg_base + np.asarray(lanes, dtype=np.int64)
-            unmatched_cols[j] = False
-        return visited, len(cols)
 
     def _charge_reduce(self, reduce_phase, visited: int,
                        matched: int) -> None:
@@ -641,6 +524,70 @@ class MatrixMatcher:
         # coalesced flush of the chunk's staged results
         warp._issue("gmem_store", 2)
         return False
+
+
+def _class_keys(batch: EnvelopeBatch) -> tuple[list[int], list[int]]:
+    """Tuple-class keys of a batch and the wildcard families it uses.
+
+    A key is the packed ``comm:16 | src:32 | tag:16`` word (as an
+    unsigned int) with the wildcarded fields zeroed, plus the entry's
+    wildcard family (``any_source + 2 * any_tag``) above bit 64, so one
+    dict holds the buckets of every family without collisions.
+    """
+    any_src = batch.src == ANY_SOURCE
+    any_tag = batch.tag == ANY_TAG
+    wild = (any_src | any_tag).nonzero()[0]
+    if not wild.size:
+        words = (batch.comm << 48) | (batch.src << 16) | batch.tag
+        return words.view(np.uint64).tolist(), [0]
+    words = ((batch.comm << 48) | (np.where(any_src, 0, batch.src) << 16)
+             | np.where(any_tag, 0, batch.tag))
+    keys = words.view(np.uint64).tolist()
+    family = any_src + 2 * any_tag.astype(np.int64)
+    for c, f in zip(wild.tolist(), family[wild].tolist()):
+        keys[c] |= f << 64
+    return keys, np.unique(family).tolist()
+
+
+def _rank_join(msg_keys: list[int], lo: int, hi: int, cols: list[int],
+               req_keys: list[int], families: list[int],
+               hit_cols: list[int], hit_msgs: list[int],
+               ) -> tuple[int, int, list[int]]:
+    """Resolve message block ``[lo, hi)`` against the open columns.
+
+    Equals the sequential column reduce: each column, in posted order,
+    takes the lowest-index still-unconsumed message it accepts.  The
+    block's messages are bucketed by class key in index order, once per
+    wildcard family the requests use, so that pick is the head of the
+    column's bucket; a message consumed through one family's bucket is
+    skipped when it reaches the head of another's.  The walk stops at the
+    column that consumes the block's last message.  Matches are appended
+    to ``hit_cols``/``hit_msgs``; returns ``(visited, matched, still
+    open columns)``.
+    """
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for f in families:
+        mask, family = _FAMILY_MASKS[f], f << 64
+        for i in range(hi - 1, lo - 1, -1):    # reversed: pop() is the head
+            buckets[(msg_keys[i] & mask) | family].append(i)
+    taken = bytearray(hi - lo)
+    left = hi - lo
+    still_open: list[int] = []
+    for pos, c in enumerate(cols):
+        bucket = buckets.get(req_keys[c])
+        while bucket and taken[bucket[-1] - lo]:
+            bucket.pop()
+        if not bucket:
+            still_open.append(c)
+            continue
+        i = bucket.pop()
+        taken[i - lo] = 1
+        hit_cols.append(c)
+        hit_msgs.append(i)
+        left -= 1
+        if not left:
+            return pos + 1, hi - lo, still_open + cols[pos + 1:]
+    return len(cols), hi - lo - left, still_open
 
 
 def _pack_block_votes(block_matrix: np.ndarray, n_warps: int,

@@ -85,6 +85,12 @@ class PartitionedMatcher:
         ``MPI_ANY_SOURCE`` and is exactly as order-correct (same-tag
         same-source messages share a queue); the EXT3 bench shows the
         imbalance penalty on realistic tag distributions.
+    reduce_impl:
+        Forwarded to each queue's :class:`MatrixMatcher`: ``"batched"``
+        (default) resolves every queue's message blocks by the
+        tuple-class rank join, with no vote matrix; ``"scalar"`` walks
+        each block's vote matrix column by column, the bit-identical
+        reference.
     """
 
     name = "partitioned"

@@ -1,10 +1,10 @@
 """Equivalence suite: array-native fast paths vs their scalar references.
 
-The perf work in this PR (batched reduce, blockwise scan, precomputed
-hash slots, vectorized atomic CAS) is only admissible if it is
-*bit-identical* to what it replaced: same match vectors AND same
-CostLedger op totals, on every workload shape.  This suite pins that
-invariant down, plus the blockwise-scan memory bound.
+The host fast paths (the matrix reduce's tuple-class rank join,
+precomputed hash slots, vectorized atomic CAS) are only admissible if
+they are *bit-identical* to their references: same match vectors AND
+same CostLedger op totals, on every workload shape.  This suite pins
+that invariant down, plus the fast path's memory bound.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import pytest
 
 from repro.bench.harness import (matching_workload, ordered_workload,
                                  partial_workload, reversed_workload)
-from repro.core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
+from repro.core.envelope import (ANY_SOURCE, ANY_TAG, MAX_COMM, MAX_SRC,
+                                 MAX_TAG, Envelope, EnvelopeBatch)
 from repro.core.hash_matching import HashMatcher
 from repro.core.matrix_matching import MatrixMatcher, _pack_block_votes
 from repro.core.partitioned import PartitionedMatcher
@@ -35,12 +36,24 @@ def wildcard_workload(n, seed=0):
     return msgs, EnvelopeBatch(src, tag, reqs.comm)
 
 
+def duplicate_workload(n, seed=0):
+    """Few tuple classes holding many messages each -- the duplicate
+    tuples Table I measures: 2 comms x 2-4 srcs x 2-4 tags, requests a
+    random permutation of the messages."""
+    rng = np.random.default_rng(seed)
+    n_src, n_tag = rng.integers(2, 5, size=2)
+    msgs = EnvelopeBatch(rng.integers(0, n_src, n), rng.integers(0, n_tag, n),
+                         rng.integers(0, 2, n))
+    return msgs, msgs.take(rng.permutation(n))
+
+
 WORKLOADS = {
     "random": matching_workload,
     "ordered": ordered_workload,
     "reversed": reversed_workload,
     "partial": lambda n, seed=0: partial_workload(n, 0.3, seed=seed),
     "wildcard": wildcard_workload,
+    "duplicate": duplicate_workload,
 }
 
 # crosses the 1024-message pipelining knee and block boundaries
@@ -58,7 +71,7 @@ def ledger_signature(ledger: CostLedger) -> dict:
     return sig
 
 
-# -- batched reduce vs scalar reference ---------------------------------------
+# -- rank join vs scalar reference --------------------------------------------
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -78,8 +91,8 @@ def test_matrix_batched_equals_scalar(workload, n, seed):
 
 @pytest.mark.parametrize("warps_per_cta,window", [(2, 8), (4, 16)])
 def test_matrix_batched_equals_scalar_small_blocks(warps_per_cta, window):
-    """Non-default geometry: many tiny blocks exercise the early-exit and
-    re-bid paths of the batched reduce."""
+    """Non-default geometry: many tiny blocks exercise the join's early
+    exit and the columns it leaves open for the next block."""
     msgs, reqs = reversed_workload(700, seed=3)
     fast_ledger, slow_ledger = CostLedger(), CostLedger()
     kw = dict(warps_per_cta=warps_per_cta, window=window)
@@ -136,7 +149,7 @@ def test_pack_block_votes_lane_bound_equals_all_lanes(n_block, warp_size,
     assert np.array_equal(fast, ref)
 
 
-# -- one-warp reduce vs scalar reference ---------------------------------------
+# -- one-warp blocks: rank join vs scalar reference ----------------------------
 
 
 def one_warp_block(n, seed=0):
@@ -162,6 +175,8 @@ def one_warp_block(n, seed=0):
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_matrix_one_warp_reduce_equals_scalar(n):
+    """The join on a block of 1-32 messages (one vote row) equals the
+    scalar reduce, early exit included; the pedantic simulator agrees."""
     msgs, reqs = one_warp_block(n)
     fast_ledger, slow_ledger = CostLedger(), CostLedger()
     fast = MatrixMatcher(reduce_impl="batched")
@@ -187,6 +202,7 @@ def test_matrix_one_warp_reduce_equals_scalar(n):
 @pytest.mark.parametrize("n,warp_size", [(1, 4), (3, 4), (4, 4), (3, 8),
                                          (8, 8), (16, 16)])
 def test_matrix_one_warp_reduce_narrow_warps(n, warp_size):
+    """The same on narrow warps, whose block fills one narrow vote row."""
     msgs, reqs = one_warp_block(n, seed=1)
     fast_ledger, slow_ledger = CostLedger(), CostLedger()
     out_fast, _ = MatrixMatcher(warp_size=warp_size).execute(
@@ -200,7 +216,7 @@ def test_matrix_one_warp_reduce_narrow_warps(n, warp_size):
 
 @pytest.mark.parametrize("tail", [1, 5, 32])
 def test_matrix_one_warp_tail_block_equals_scalar(tail):
-    """The last block of a multi-block queue fits one vote row."""
+    """The join resolves a last block that fits one vote row."""
     msgs, reqs = reversed_workload(1024 + tail, seed=4)
     fast_ledger, slow_ledger = CostLedger(), CostLedger()
     out_fast, it_fast = MatrixMatcher().execute(msgs, reqs, fast_ledger)
@@ -214,7 +230,7 @@ def test_matrix_one_warp_tail_block_equals_scalar(tail):
 @pytest.mark.parametrize("n", [4, 17, 60, 100])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partitioned_short_queues_batched_equals_scalar(n, seed):
-    """Per-queue blocks shorter than a warp take the one-warp reduce."""
+    """The join resolves per-queue blocks shorter than a warp."""
     msgs, reqs = matching_workload(n, seed=seed)
     fast = PartitionedMatcher(n_queues=4, reduce_impl="batched").match(
         msgs, reqs)
@@ -224,6 +240,126 @@ def test_partitioned_short_queues_batched_equals_scalar(n, seed):
     assert fast.cycles == slow.cycles
     assert fast.iterations == slow.iterations
     assert fast.meta == slow.meta
+
+
+# -- rank join: random shapes and hand-built corner cases ----------------------
+
+
+def _join_and_scalar(msgs, reqs, **kw):
+    """Run both reduce implementations; assert they agree on the match
+    vector, the block count and the ledger; return the join's outputs."""
+    fast_ledger, slow_ledger = CostLedger(), CostLedger()
+    out_fast, it_fast = MatrixMatcher(**kw).execute(msgs, reqs, fast_ledger)
+    out_slow, it_slow = MatrixMatcher(reduce_impl="scalar", **kw).execute(
+        msgs, reqs, slow_ledger)
+    assert np.array_equal(out_fast, out_slow)
+    assert it_fast == it_slow
+    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+    return out_fast, fast_ledger
+
+
+def _reduce_columns_visited(ledger):
+    """Columns the reduce walked: one ``branch`` is charged per column."""
+    return sum(p.counts["branch"] for p in ledger.phases
+               if p.name == "reduce")
+
+
+SHAPES = [(w, ws) for w in (1, 2, 5, 32) for ws in (4, 8, 32)]
+
+
+@pytest.mark.parametrize("warps_per_cta,warp_size", SHAPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rank_join_random_shapes_equal_scalar(warps_per_cta, warp_size,
+                                              seed):
+    """Seeded sweep: 1-2,500 entries per side, duplicate-heavy classes
+    over 2 comms and 5-10% src/tag wildcards, on every block geometry."""
+    rng = np.random.default_rng(1000 * seed + 10 * warps_per_cta + warp_size)
+    n_msg, n_req = rng.integers(1, 2501, size=2)
+    n_src, n_tag = rng.integers(2, 6, size=2)
+    msgs = EnvelopeBatch(rng.integers(0, n_src, n_msg),
+                         rng.integers(0, n_tag, n_msg),
+                         rng.integers(0, 2, n_msg))
+    wild = rng.uniform(0.05, 0.10)
+    src = np.where(rng.random(n_req) < wild, ANY_SOURCE,
+                   rng.integers(0, n_src + 1, n_req))
+    tag = np.where(rng.random(n_req) < wild, ANY_TAG,
+                   rng.integers(0, n_tag + 1, n_req))
+    reqs = EnvelopeBatch(src, tag, rng.integers(0, 2, n_req))
+    _join_and_scalar(msgs, reqs, warps_per_cta=warps_per_cta,
+                     warp_size=warp_size)
+
+
+def test_rank_join_wildcard_consumes_class_head():
+    """A wildcard column that takes the head of a concrete class makes the
+    class's later columns skip it; a wildcard column after a concrete one
+    skips the message the concrete column took."""
+    a, b = (0, 0), (1, 0)
+    msgs = EnvelopeBatch.from_envelopes(
+        Envelope(*t) for t in (a, a, b, a, b))
+    reqs = EnvelopeBatch.from_envelopes([
+        Envelope(ANY_SOURCE, 0),   # takes msg 0, the head of class a
+        Envelope(*a),              # must skip msg 0 -> msg 1
+        Envelope(*b),              # msg 2
+        Envelope(ANY_SOURCE, 0),   # msgs 0-2 consumed -> msg 3
+        Envelope(*a),              # class a exhausted -> no match
+        Envelope(ANY_SOURCE, ANY_TAG),  # msg 4, the last one
+    ])
+    out, ledger = _join_and_scalar(msgs, reqs)
+    assert out.tolist() == [0, 1, 2, 3, -1, 4]
+    assert _reduce_columns_visited(ledger) == 6
+    pedantic = MatrixMatcher().match_pedantic(msgs, reqs)
+    assert np.array_equal(pedantic.request_to_message, out)
+
+
+def test_rank_join_early_exit_inside_concrete_run():
+    """4-message blocks: each block's last message is consumed by a
+    concrete column followed by more concrete columns, which that block
+    never visits and the next block resolves."""
+    a, b, c = Envelope(0, 0), Envelope(1, 0), Envelope(2, 0)
+    msgs = EnvelopeBatch.from_envelopes([a, b, a, b, a, a, b, b])
+    reqs = EnvelopeBatch.from_envelopes([a, a, c, b, b, a, b, a, b, a])
+    out, ledger = _join_and_scalar(msgs, reqs, warps_per_cta=1, warp_size=4)
+    assert out.tolist() == [0, 2, -1, 1, 3, 4, 6, 5, 7, -1]
+    # block 0 stops at column 4 (5 visited); block 1 walks the 6 columns
+    # left open and stops at column 8 -- before column 9 (5 visited)
+    assert _reduce_columns_visited(ledger) == 5 + 5
+
+
+def test_rank_join_extreme_field_values():
+    """Class keys stay distinct at the field limits: communicators at and
+    above 2**15 (the sign bit of a packed int64 word), the largest
+    source and tag, with wildcards."""
+    rng = np.random.default_rng(5)
+    n = 300
+    msgs = EnvelopeBatch(rng.choice([0, MAX_SRC], n),
+                         rng.choice([0, MAX_TAG], n),
+                         rng.choice([0, 2 ** 15, MAX_COMM], n))
+    exact = msgs.take(rng.permutation(n))
+    reqs = EnvelopeBatch(
+        np.where(rng.random(n) < 0.2, ANY_SOURCE, exact.src),
+        np.where(rng.random(n) < 0.2, ANY_TAG, exact.tag), exact.comm)
+    out, _ = _join_and_scalar(msgs, reqs, warps_per_cta=2)
+    assert np.count_nonzero(out != -1) > n // 2
+
+
+@pytest.mark.parametrize("workload", ["wildcard", "duplicate"])
+@pytest.mark.parametrize("n", [96, 1536])
+def test_obs_metrics_equal_scalar(workload, n):
+    """Observability sees the same blocks, vote occupancy, visited columns
+    and matches whichever reduce resolves the blocks."""
+    msgs, reqs = WORKLOADS[workload](n, seed=1)
+    snaps = {}
+    for impl in ("batched", "scalar"):
+        obs = Observability.enabled()
+        MatrixMatcher(reduce_impl=impl, obs=obs).match(msgs, reqs)
+        snaps[impl] = obs.snapshot()
+    assert snaps["batched"] == snaps["scalar"]
+    metrics = snaps["batched"]
+    for name in ("matrix.blocks", "matrix.columns_visited",
+                 "matrix.matches"):
+        assert metrics["counters"][name] > 0
+    assert metrics["histograms"]["matrix.vote_occupancy"]["count"] == \
+        metrics["counters"]["matrix.blocks"]
 
 
 # -- fast path vs pedantic simulator ------------------------------------------
