@@ -175,6 +175,7 @@ class HashMatcher:
         self._hash = HASH_FUNCTIONS[self.config.hash_name]
         self._hash_alu = alu_cost(self.config.hash_name)
         self._workload_warps = 1
+        self._model = TimingModel(spec, family="hash")
 
     # -- public API --------------------------------------------------------------
 
@@ -553,7 +554,7 @@ class HashMatcher:
         resident = max(1, min(self.n_ctas, occ.max_resident_ctas))
         waves = math.ceil(self.n_ctas / resident)
         contention = 1.0 + self.spec.cta_contention * (resident - 1)
-        timing = TimingModel(self.spec, family="hash").evaluate(ledger)
+        timing = self._model.evaluate(ledger)
         cycles = timing.cycles * waves * contention
         if self._obs is not None:
             matched = int(np.count_nonzero(out != NO_MATCH))

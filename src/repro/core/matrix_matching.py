@@ -178,6 +178,7 @@ class MatrixMatcher:
         self.reduce_impl = reduce_impl
         self._obs = obs
         self._san = sanitize if sanitize is not None else spec.sanitize
+        self._model = TimingModel(spec)
 
     # -- public API ------------------------------------------------------------
 
@@ -383,7 +384,7 @@ class MatrixMatcher:
 
     def _finish(self, out: np.ndarray, n_msg: int, n_req: int,
                 ledger: CostLedger, iterations: int) -> MatchOutcome:
-        timing = TimingModel(self.spec).evaluate(ledger)
+        timing = self._model.evaluate(ledger)
         if self._obs is not None:
             matched = int(np.count_nonzero(out != NO_MATCH))
             self._obs.count("matrix.matches", float(matched))

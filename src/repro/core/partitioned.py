@@ -123,6 +123,8 @@ class PartitionedMatcher:
         self.reduce_impl = reduce_impl
         self._obs = obs
         self._san = sanitize if sanitize is not None else spec.sanitize
+        self._model = TimingModel(spec)
+        self._compaction_model = TimingModel(spec, family="compaction")
 
     # -- partitioning -------------------------------------------------------------
 
@@ -151,7 +153,7 @@ class PartitionedMatcher:
         out = np.full(n_req, NO_MATCH, dtype=np.int64)
         if n_msg == 0 or n_req == 0:
             empty = CostLedger()
-            timing = TimingModel(self.spec).evaluate(empty)
+            timing = self._model.evaluate(empty)
             return self._outcome(out, n_msg, n_req, timing.seconds,
                                  timing.cycles, 0, {})
 
@@ -213,7 +215,7 @@ class PartitionedMatcher:
         for phase in ledger.phases:
             if "sync" in phase.counts:
                 phase.counts["sync"] *= widen
-        return TimingModel(self.spec).evaluate(ledger).cycles
+        return self._model.evaluate(ledger).cycles
 
     def _warps_per_cta_estimate(self) -> int:
         """Warps sharing a CTA when several small queues are packed together."""
@@ -253,13 +255,11 @@ class PartitionedMatcher:
             # All queue regions compact concurrently at full CTA width; the
             # transaction-level compaction model needs no calibration
             # anchor of its own ("compaction" family scale is 1.0).
-            from ..simt.timing import CostLedger as _Ledger
             from .compaction import charge_compaction
-            led = _Ledger()
+            led = CostLedger()
             charge_compaction(led, 2 * total_messages,
                               max_warps=MAX_WARPS_PER_CTA)
-            wall += TimingModel(self.spec,
-                                family="compaction").evaluate(led).cycles
+            wall += self._compaction_model.evaluate(led).cycles
         return wall / self.spec.clock_hz, wall, {
             "ctas": n_ctas, "waves": waves, "resident_ctas": resident,
             "sm_count": self.sm_count,

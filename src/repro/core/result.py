@@ -57,12 +57,15 @@ class MatchOutcome:
                                              dtype=np.int64)
         if self.request_to_message.shape != (self.n_requests,):
             raise ValueError("request_to_message must have one entry per request")
-        matched = self.request_to_message[self.request_to_message != NO_MATCH]
-        if matched.size and (np.unique(matched).size != matched.size):
-            raise ValueError("a message was matched to multiple requests")
-        if matched.size and ((matched < 0).any()
-                             or (matched >= self.n_messages).any()):
-            raise ValueError("matched message index out of range")
+        matched = np.sort(
+            self.request_to_message[self.request_to_message != NO_MATCH])
+        if matched.size:
+            # one sort serves both checks: a duplicate sits next to its
+            # twin, and the extremes bound the range
+            if (matched[1:] == matched[:-1]).any():
+                raise ValueError("a message was matched to multiple requests")
+            if matched[0] < 0 or matched[-1] >= self.n_messages:
+                raise ValueError("matched message index out of range")
 
     @property
     def matched_count(self) -> int:

@@ -12,6 +12,14 @@ The statistics mirror :mod:`repro.traces.analyzer` (the offline Table I
 reconstruction) and reuse its entropy machinery; UMQ/PRQ depth proxies
 come from the per-flush unmatched counts, exactly what the Figure 2
 queue replay measures offline.
+
+Statistics are computed when the window is *read*, not when a flush is
+ingested: :meth:`StreamProfiler.ingest` only queues the flush's batches
+and queue depths, and :meth:`~StreamProfiler.profile` or
+:meth:`~StreamProfiler.export_state` turn each queued flush into its
+statistics once.  An autotuned tenant reads its profile after every
+flush; a pinned tenant pays only when it is snapshotted or its volume is
+asked for, and a flush that ages out of the window unread costs nothing.
 """
 
 from __future__ import annotations
@@ -116,6 +124,51 @@ class _FlushStats:
     prq_depth: int
 
 
+def _flush_stats(messages: EnvelopeBatch, requests: EnvelopeBatch,
+                 umq_depth: int, prq_depth: int) -> _FlushStats:
+    """One flush's Table I counters.
+
+    Pure column work: the tuple statistics come from one ``np.unique``
+    over the flush's packed64 key column (reusing the batch's cached keys
+    when the columnar data plane already packed them), never from
+    per-envelope Python iteration.
+    """
+    src_wc = int(np.count_nonzero(requests.src == ANY_SOURCE))
+    tag_wc = int(np.count_nonzero(requests.tag == ANY_TAG))
+    empty = np.array([], dtype=np.int64)
+    if len(messages):
+        packed = messages._packed
+        if packed is None:
+            packed = ((messages.comm << 48)
+                      | (messages.src << 16) | messages.tag)
+        _, tuple_counts = np.unique(packed, return_counts=True)
+        duplicates = len(messages) - int(tuple_counts.size)
+        dominant = int(tuple_counts.max()) - 1
+        peers = np.unique(messages.src)
+        tags, counts = np.unique(messages.tag, return_counts=True)
+    else:
+        duplicates = 0
+        dominant = 0
+        peers = empty
+        tags, counts = empty, empty
+    comms = (np.unique(np.concatenate([messages.comm, requests.comm]))
+             if (len(messages) or len(requests)) else empty)
+    return _FlushStats(
+        n_messages=len(messages),
+        n_requests=len(requests),
+        src_wildcards=src_wc,
+        tag_wildcards=tag_wc,
+        peers=peers,
+        comms=comms,
+        duplicates=duplicates,
+        dominant=dominant,
+        tags=tags,
+        tag_counts=counts,
+        umq_depth=umq_depth,
+        prq_depth=prq_depth,
+    )
+
+
 class StreamProfiler:
     """Sliding-window Table I statistics over flushed batches.
 
@@ -132,53 +185,36 @@ class StreamProfiler:
         if window_flushes < 1:
             raise ValueError("window_flushes must be >= 1")
         self.window_flushes = window_flushes
-        self._window: deque[_FlushStats] = deque(maxlen=window_flushes)
+        # computed _FlushStats, or a queued (messages, requests,
+        # umq_depth, prq_depth) flush not read yet
+        self._window: deque[_FlushStats | tuple] = deque(
+            maxlen=window_flushes)
         self.total_flushes = 0
 
     def ingest(self, messages: EnvelopeBatch, requests: EnvelopeBatch,
                outcome: MatchOutcome) -> None:
-        """Fold one flush into the window.
+        """Queue one flush for the window.
 
-        Pure column work: the tuple statistics come from one
-        ``np.unique`` over the flush's packed64 key column (reusing the
-        batch's cached keys when the columnar data plane already packed
-        them), never from per-envelope Python iteration.
+        Keeps the flush's batches by reference plus its unmatched
+        (UMQ/PRQ) depths; the statistics are computed when the window is
+        read.  Submitted batches must therefore not be mutated after
+        ``submit`` -- the batch accumulator already aliases them until
+        the flush.
         """
-        src_wc = int(np.count_nonzero(requests.src == ANY_SOURCE))
-        tag_wc = int(np.count_nonzero(requests.tag == ANY_TAG))
-        empty = np.array([], dtype=np.int64)
-        if len(messages):
-            packed = messages._packed
-            if packed is None:
-                packed = ((messages.comm << 48)
-                          | (messages.src << 16) | messages.tag)
-            _, tuple_counts = np.unique(packed, return_counts=True)
-            duplicates = len(messages) - int(tuple_counts.size)
-            dominant = int(tuple_counts.max()) - 1
-            peers = np.unique(messages.src)
-            tags, counts = np.unique(messages.tag, return_counts=True)
-        else:
-            duplicates = 0
-            dominant = 0
-            peers = empty
-            tags, counts = empty, empty
-        comms = (np.unique(np.concatenate([messages.comm, requests.comm]))
-                 if (len(messages) or len(requests)) else empty)
-        self._window.append(_FlushStats(
-            n_messages=len(messages),
-            n_requests=len(requests),
-            src_wildcards=src_wc,
-            tag_wildcards=tag_wc,
-            peers=peers,
-            comms=comms,
-            duplicates=duplicates,
-            dominant=dominant,
-            tags=tags,
-            tag_counts=counts,
-            umq_depth=outcome.n_messages - outcome.matched_count,
-            prq_depth=outcome.n_requests - outcome.matched_count,
-        ))
+        matched = outcome.matched_count
+        self._window.append((messages, requests,
+                             outcome.n_messages - matched,
+                             outcome.n_requests - matched))
         self.total_flushes += 1
+
+    def _stats(self) -> list[_FlushStats]:
+        """The window's statistics; a queued flush is computed once and
+        replaced by its result."""
+        window = self._window
+        for i in range(len(window)):
+            if not isinstance(window[i], _FlushStats):
+                window[i] = _flush_stats(*window[i])
+        return list(window)
 
     # -- snapshot format ----------------------------------------------------------
 
@@ -198,7 +234,7 @@ class StreamProfiler:
                             "tag_counts": s.tag_counts,
                             "umq_depth": s.umq_depth,
                             "prq_depth": s.prq_depth}
-                           for s in self._window]}
+                           for s in self._stats()]}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`export_state`."""
@@ -223,7 +259,7 @@ class StreamProfiler:
 
     def profile(self) -> WorkloadProfile:
         """The aggregated profile of the current window."""
-        w = list(self._window)
+        w = self._stats()
         n_msgs = sum(s.n_messages for s in w)
         n_reqs = sum(s.n_requests for s in w)
         n_peers = int(np.unique(np.concatenate(

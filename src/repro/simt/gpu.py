@@ -72,6 +72,11 @@ class GPUSpec:
         sanitize=Sanitizer())`` instruments every kernel that does not
         pass its own handle).  Excluded from equality and repr; the
         shipped singletons carry ``None``.
+
+    A spec and its ``issue_cycles``/``calibration`` dicts are never
+    mutated -- derive a variant with :meth:`with_` -- because
+    :class:`~repro.simt.timing.TimingModel` memoizes the prices it
+    computes for a spec.
     """
 
     name: str

@@ -57,6 +57,11 @@ _LATENCY_KIND = {
 #: Cycles a CTA-wide barrier costs on top of issue (drain + reconverge).
 SYNC_OVERHEAD_CYCLES = 30.0
 
+#: Distinct ledger signatures one :class:`TimingModel` remembers; the memo
+#: is cleared when it reaches this size, so a long run of ever-new
+#: ledgers costs bounded memory.
+PRICE_MEMO_LIMIT = 4096
+
 
 @dataclass
 class PhaseCost:
@@ -188,6 +193,9 @@ class TimingModel:
         self.spec = spec
         self.serialization = serialization
         self.family = family
+        # ledger signature -> breakdown; valid because neither ``spec``
+        # (never reassigned) nor its cost dicts (never mutated) change
+        self._memo: dict[tuple, TimingBreakdown] = {}
 
     # -- per-phase model -----------------------------------------------------
 
@@ -226,7 +234,28 @@ class TimingModel:
 
         Phases in the same overlap group cost the max of the group's
         members; ungrouped phases are summed.
+
+        Memoized by the ledger's signature: the name, warps, overlap
+        group and ordered counts of each non-empty phase.  Equal
+        signatures run the same float operations in the same order, so a
+        hit is bit-identical to pricing the ledger again.  Each call
+        returns a fresh breakdown with its own ``per_phase_cycles`` dict.
         """
+        key = tuple((p.name, p.active_warps, p.overlap_group,
+                     tuple(p.counts.items()))
+                    for p in ledger.phases if p.counts)
+        priced = self._memo.get(key)
+        if priced is None:
+            priced = self._evaluate(ledger)
+            if len(self._memo) >= PRICE_MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = priced
+        return TimingBreakdown(cycles=priced.cycles, seconds=priced.seconds,
+                               per_phase_cycles=dict(priced.per_phase_cycles),
+                               spec_name=priced.spec_name)
+
+    def _evaluate(self, ledger: CostLedger) -> TimingBreakdown:
+        """Price a ledger from its counts (the memo's miss path)."""
         per_phase: dict[str, float] = {}
         groups: dict[str, float] = defaultdict(float)
         total = 0.0

@@ -23,7 +23,7 @@ from repro.core.hash_matching import HashMatcher, HashTableConfig
 from repro.core.list_matching import ListMatcher
 from repro.core.matrix_matching import MatrixMatcher
 from repro.core.partitioned import PartitionedMatcher
-from repro.core.result import NO_MATCH
+from repro.core.result import NO_MATCH, MatchOutcome
 from repro.core.verify import (SemanticsViolation, check_mpi_ordering,
                                check_relaxed, reference_match)
 from tests.conftest import partial_match_pair, permuted_pair, with_wildcards
@@ -90,6 +90,54 @@ class TestReferenceOracle:
         out.request_to_message = np.array([1, 0])  # valid pairs, wrong order
         with pytest.raises(SemanticsViolation):
             check_mpi_ordering(msgs, reqs, out)
+
+
+class TestMatchOutcomeValidation:
+    """``MatchOutcome`` rejects a vector that matches one message twice or
+    names a message outside the queue, with a message per fault."""
+
+    DUPLICATE = "matched to multiple requests"
+    OUT_OF_RANGE = "index out of range"
+
+    @staticmethod
+    def _permutation(n):
+        return np.random.default_rng(n).permutation(n).astype(np.int64)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096])
+    def test_accepts_all_unmatched(self, n):
+        out = MatchOutcome(np.full(n, NO_MATCH), n_messages=n, n_requests=n)
+        assert out.matched_count == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096])
+    def test_accepts_full_permutation(self, n):
+        out = MatchOutcome(self._permutation(n), n_messages=n, n_requests=n)
+        assert out.matched_count == n
+
+    # one request cannot name a message twice
+    @pytest.mark.parametrize("n", [2, 64, 4096])
+    def test_rejects_duplicate(self, n):
+        vec = self._permutation(n)
+        vec[-1] = vec[0]
+        with pytest.raises(ValueError, match=self.DUPLICATE):
+            MatchOutcome(vec, n_messages=n, n_requests=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096])
+    def test_rejects_negative_index(self, n):
+        vec = self._permutation(n)
+        vec[n // 2] = -2  # -1 is NO_MATCH
+        with pytest.raises(ValueError, match=self.OUT_OF_RANGE):
+            MatchOutcome(vec, n_messages=n, n_requests=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096])
+    def test_rejects_index_equal_to_queue_length(self, n):
+        vec = self._permutation(n)
+        vec[n // 2] = n
+        with pytest.raises(ValueError, match=self.OUT_OF_RANGE):
+            MatchOutcome(vec, n_messages=n, n_requests=n)
+
+    def test_duplicate_is_reported_before_range(self):
+        with pytest.raises(ValueError, match=self.DUPLICATE):
+            MatchOutcome(np.array([5, 5]), n_messages=2, n_requests=2)
 
 
 class TestMatrixMatcher:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.hash_matching import HashMatcher
+from repro.core.matrix_matching import MatrixMatcher
+from repro.core.partitioned import PartitionedMatcher
 from repro.simt.gpu import (GPU, KEPLER_K80, MAXWELL_M40, PASCAL_GTX1080,
                             GPUSpec)
-from repro.simt.timing import (CostLedger, PhaseCost, SYNC_OVERHEAD_CYCLES,
-                               TimingModel)
+from repro.simt.timing import (PRICE_MEMO_LIMIT, CostLedger, PhaseCost,
+                               SYNC_OVERHEAD_CYCLES, TimingModel)
+from tests.core.test_fastpath_equivalence import SEEDS, SIZES, WORKLOADS
 
 
 class TestGPUSpecs:
@@ -179,3 +183,111 @@ class TestTimingModel:
         led = self._ledger("alu", 100, warps=1)
         bd = TimingModel(PASCAL_GTX1080).evaluate(led)
         assert bd.rate(10) == pytest.approx(10 / bd.seconds)
+
+
+# -- memoized pricing ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def matcher_ledgers():
+    """``(family, serialization, ledger)`` of every ledger the GPU matchers
+    price on the fast-path equivalence workloads."""
+    priced = []
+    real = TimingModel.evaluate
+
+    def record(self, ledger):
+        priced.append((self.family, self.serialization, ledger))
+        return real(self, ledger)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TimingModel, "evaluate", record)
+        for name, make in sorted(WORKLOADS.items()):
+            for n in SIZES:
+                for seed in SEEDS:
+                    msgs, reqs = make(n, seed=seed)
+                    matchers = [MatrixMatcher(reduce_impl="batched"),
+                                MatrixMatcher(reduce_impl="scalar")]
+                    if not reqs.has_wildcards:
+                        matchers += [PartitionedMatcher(n_queues=4,
+                                                        compaction=True),
+                                     HashMatcher()]
+                    for matcher in matchers:
+                        matcher.match(msgs, reqs)
+    assert {family for family, _, _ in priced} == {
+        "default", "hash", "compaction"}
+    return priced
+
+
+def _assert_cold_equal(model: TimingModel, ledger: CostLedger) -> None:
+    got = model.evaluate(ledger)
+    cold = TimingModel(model.spec, model.serialization,
+                       model.family).evaluate(ledger)
+    assert got.cycles == cold.cycles
+    assert got.seconds == cold.seconds
+    assert got.per_phase_cycles == cold.per_phase_cycles
+    assert got.spec_name == cold.spec_name
+
+
+class TestPricingMemo:
+    def test_matcher_ledgers_price_as_cold_model(self, matcher_ledgers):
+        models: dict[tuple, TimingModel] = {}
+        for family, serialization, ledger in matcher_ledgers:
+            model = models.setdefault(
+                (family, serialization),
+                TimingModel(PASCAL_GTX1080, serialization, family))
+            _assert_cold_equal(model, ledger)  # miss, or a repeated shape
+            _assert_cold_equal(model, ledger)  # hit
+        # the workloads repeat ledger shapes, so the memo did serve hits
+        assert sum(len(m._memo) for m in models.values()) \
+            < len(matcher_ledgers)
+
+    def test_returned_phase_dict_is_a_copy(self):
+        led = CostLedger()
+        led.phase("scan", active_warps=4, overlap_group="pipe")
+        led.issue("gmem_load", 8)
+        led.phase("reduce", active_warps=1, overlap_group="pipe")
+        led.issue("smem_load", 3)
+        model = TimingModel(PASCAL_GTX1080)
+        first = model.evaluate(led)
+        first.per_phase_cycles["scan"] = -1.0
+        first.per_phase_cycles["bogus"] = 1.0
+        _assert_cold_equal(model, led)
+        second = model.evaluate(led)
+        second.per_phase_cycles.clear()
+        _assert_cold_equal(model, led)
+
+    def test_signature_separates_phase_fields_and_count_order(self):
+        def ledger(name="p", warps=4, group=None, counts=(("alu", 64.0),
+                                                          ("gmem_load", 8.0))):
+            led = CostLedger()
+            led.phase(name, active_warps=warps, overlap_group=group)
+            for kind, count in counts:
+                led.issue(kind, count)
+            return led
+
+        variants = [ledger(), ledger(name="q"), ledger(warps=1),
+                    ledger(group="pipe"),
+                    ledger(counts=(("gmem_load", 8.0), ("alu", 64.0))),
+                    ledger(counts=(("alu", 64.0), ("gmem_load", 9.0)))]
+        model = TimingModel(PASCAL_GTX1080)
+        for led in variants + variants:
+            _assert_cold_equal(model, led)
+        assert len(model._memo) == len(variants)
+
+    def test_memo_is_bounded_and_stays_exact(self):
+        def ledger(i):
+            led = CostLedger()
+            led.phase("p", active_warps=1 + i % 32)
+            led.issue("alu", float(i))
+            led.issue("gmem_load", float(i % 7))
+            return led
+
+        model = TimingModel(PASCAL_GTX1080, family="hash")
+        n = PRICE_MEMO_LIMIT + 100
+        for i in range(n):
+            _assert_cold_equal(model, ledger(i))
+            assert len(model._memo) <= PRICE_MEMO_LIMIT
+        assert len(model._memo) == n - PRICE_MEMO_LIMIT  # it was cleared
+        # entries dropped by the bound are priced afresh, identically
+        for i in (0, 1, n // 2, n - 1):
+            _assert_cold_equal(model, ledger(i))
