@@ -66,11 +66,18 @@ class MatchOutcome:
                 raise ValueError("a message was matched to multiple requests")
             if matched[0] < 0 or matched[-1] >= self.n_messages:
                 raise ValueError("matched message index out of range")
+        # the sort counted the matches; the count is kept with the vector
+        # it counts, so a rebound vector is recounted
+        self._counted = (self.request_to_message, int(matched.size))
 
     @property
     def matched_count(self) -> int:
         """Number of requests that found a message."""
-        return int(np.count_nonzero(self.request_to_message != NO_MATCH))
+        vector, count = self._counted
+        if vector is not self.request_to_message:
+            count = int(np.count_nonzero(self.request_to_message != NO_MATCH))
+            self._counted = (self.request_to_message, count)
+        return count
 
     @property
     def match_fraction(self) -> float:

@@ -8,8 +8,10 @@ rank 0 (slowest)      rank 1 (~10x)          rank 2 (~80x)
 matrix matcher        partitioned matcher    two-level hash table
 ====================  =====================  =======================
 
-The autotuner maps a tenant's live :class:`~repro.serve.profiler.WorkloadProfile`
-to the highest rank that is still *correct* for the observed stream:
+The autotuner maps a tenant's live window statistics (its
+:class:`~repro.serve.profiler.StreamProfiler`, or a computed
+:class:`~repro.serve.profiler.WorkloadProfile`) to the highest rank that
+is still *correct* for the observed stream:
 
 * any wildcard in the window pins the tenant at the matrix point
   (partitioning and hashing both need concrete sources);
@@ -18,6 +20,13 @@ to the highest rank that is still *correct* for the observed stream:
   ``ordering_required=False`` (ordering need is a semantic contract,
   not an observable) and a hash-friendly tuple distribution (Figure
   6(a): dominant duplicate tuples ruin probe chains).
+
+**What each decision reads.**  Every decision reads ``uses_wildcards``,
+which the profiler answers from each flush's counts tier.
+``hash_friendly``, which adds the tuple tier (one ``np.unique`` per
+flush), is read only for a wildcard-free tenant that is unordered and
+not partitioned.  The full Table I profile is computed only when a
+retune is recorded, to word its reason.
 
 **Hysteresis.**  Promotions need ``promote_after`` consecutive windows
 agreeing on the same higher target before the engine is rebuilt --
@@ -40,7 +49,7 @@ from ..core.adaptive import RELAUNCH_OVERHEAD_CYCLES, relaunch_seconds
 from ..core.relaxations import RelaxationSet
 from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from .messages import TenantSpec
-from .profiler import WorkloadProfile
+from .profiler import StreamProfiler, WorkloadProfile
 
 __all__ = ["LATTICE", "RetuneEvent", "Autotuner", "lattice_rank"]
 
@@ -83,6 +92,13 @@ class RetuneEvent:
 class Autotuner:
     """Per-tenant lattice walker with promotion hysteresis.
 
+    :meth:`consider` takes the tenant's :class:`StreamProfiler` after
+    each flush and reads its statistics lazily: ``uses_wildcards``
+    (counts tier) on every decision, ``hash_friendly`` (tuple tier) only
+    for a wildcard-free, unordered, unpartitioned tenant, and the full
+    :meth:`StreamProfiler.profile` only when it records a retune.  A
+    computed :class:`WorkloadProfile` is accepted in its place.
+
     Parameters
     ----------
     spec:
@@ -107,9 +123,12 @@ class Autotuner:
 
     # -- policy -------------------------------------------------------------------
 
-    def target_rank(self, profile: WorkloadProfile) -> int:
-        """Highest lattice rank the observed window permits."""
-        if profile.uses_wildcards:
+    def target_rank(self, window: StreamProfiler | WorkloadProfile) -> int:
+        """Highest lattice rank the observed window permits.
+
+        Reads ``hash_friendly`` only when no earlier rule decides.
+        """
+        if window.uses_wildcards:
             return 0
         if self.spec.partitioned:
             # match-once/fire-many cost model: a channel binding is
@@ -121,7 +140,7 @@ class Autotuner:
             return 1
         if self.spec.ordering_required:
             return 1
-        if not profile.hash_friendly:
+        if not window.hash_friendly:
             return 1
         return 2
 
@@ -144,7 +163,8 @@ class Autotuner:
 
     # -- decision -----------------------------------------------------------------
 
-    def consider(self, current: RelaxationSet, profile: WorkloadProfile,
+    def consider(self, current: RelaxationSet,
+                 window: StreamProfiler | WorkloadProfile,
                  now_vt: float) -> RelaxationSet | None:
         """Decide whether to retune away from ``current`` after a flush.
 
@@ -155,7 +175,7 @@ class Autotuner:
         if not self.spec.autotune:
             return None
         cur_rank = lattice_rank(current)
-        tgt_rank = self.target_rank(profile)
+        tgt_rank = self.target_rank(window)
         if tgt_rank == cur_rank:
             self._streak_target = None
             self._streak = 0
@@ -164,7 +184,7 @@ class Autotuner:
             # correctness demotion: apply now, reset hysteresis
             self._streak_target = None
             self._streak = 0
-            return self._move(current, tgt_rank, "demote", profile, now_vt)
+            return self._move(current, tgt_rank, "demote", window, now_vt)
         # promotion: require promote_after consecutive agreeing windows
         if self._streak_target == tgt_rank:
             self._streak += 1
@@ -175,11 +195,14 @@ class Autotuner:
             return None
         self._streak_target = None
         self._streak = 0
-        return self._move(current, tgt_rank, "promote", profile, now_vt)
+        return self._move(current, tgt_rank, "promote", window, now_vt)
 
     def _move(self, current: RelaxationSet, rank: int, direction: str,
-              profile: WorkloadProfile, now_vt: float) -> RelaxationSet:
+              window: StreamProfiler | WorkloadProfile,
+              now_vt: float) -> RelaxationSet:
         new = LATTICE[rank]
+        profile = (window.profile() if isinstance(window, StreamProfiler)
+                   else window)
         self.events.append(RetuneEvent(
             tenant=self.spec.name, vt=now_vt,
             from_label=current.label(), to_label=new.label(),

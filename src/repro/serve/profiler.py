@@ -15,11 +15,25 @@ queue replay measures offline.
 
 Statistics are computed when the window is *read*, not when a flush is
 ingested: :meth:`StreamProfiler.ingest` only queues the flush's batches
-and queue depths, and :meth:`~StreamProfiler.profile` or
-:meth:`~StreamProfiler.export_state` turn each queued flush into its
-statistics once.  An autotuned tenant reads its profile after every
-flush; a pinned tenant pays only when it is snapshotted or its volume is
-asked for, and a flush that ages out of the window unread costs nothing.
+and queue depths.  A queued flush's statistics fall into three tiers,
+each computed on its first read and cached in the window entry:
+
+* **counts** -- message and request counts, src/tag wildcard counts;
+* **tuple** -- duplicate and hottest-tuple counts, from one
+  ``np.unique`` over the packed key column;
+* **sets** -- the peer, communicator and tag sets and the tag counts.
+
+The autotuner reads only what its decision needs.  After each flush of
+an autotuned tenant it asks :attr:`StreamProfiler.uses_wildcards` (the
+counts tier), and :attr:`StreamProfiler.hash_friendly` (adding the tuple
+tier) only for a wildcard-free, unordered, unpartitioned tenant.
+:attr:`StreamProfiler.n_messages`, the cluster's load signal, reads the
+counts tier.  The full Table I statistics -- :meth:`~StreamProfiler.profile`
+and :meth:`~StreamProfiler.export_state` -- compute every tier of every
+windowed flush; they are read when a retune is recorded (for its
+reason), when the tenant is snapshotted, or when a caller asks for the
+profile.  A pinned tenant pays nothing per flush, and a flush that ages
+out of the window unread costs nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +48,11 @@ from ..core.result import MatchOutcome
 from ..traces.analyzer import normalized_entropy
 
 __all__ = ["WorkloadProfile", "StreamProfiler"]
+
+
+#: A window is hash-friendly while its dominant-tuple fraction stays
+#: below this (see :attr:`WorkloadProfile.hash_friendly`).
+_DOMINANCE_GATE = 0.25
 
 
 def _finite(x: float) -> float:
@@ -98,75 +117,114 @@ class WorkloadProfile:
         serializes a quarter of the probes.  Gate on dominance, not on
         duplication.
         """
-        return self.dominant_tuple_fraction < 0.25
+        return self.dominant_tuple_fraction < _DOMINANCE_GATE
 
 
-@dataclass
-class _FlushStats:
-    """Per-flush raw counters the window aggregates.
+def _counts_tier(messages: EnvelopeBatch,
+                 requests: EnvelopeBatch) -> tuple[int, int, int, int]:
+    """One flush's counts tier: message and request counts plus the
+    src/tag wildcard counts of its requests."""
+    return (len(messages), len(requests),
+            int(np.count_nonzero(requests.src == ANY_SOURCE)),
+            int(np.count_nonzero(requests.tag == ANY_TAG)))
 
-    Set-valued stats are kept as the sorted unique *arrays*
-    ``np.unique`` already produced -- the window aggregation is then a
-    unique-of-concatenation, never a Python set union over items.
+
+def _tuple_tier(messages: EnvelopeBatch) -> tuple[int, int]:
+    """One flush's tuple tier: duplicate messages and the hottest tuple's
+    excess multiplicity.
+
+    Pure column work: one ``np.unique`` over the flush's packed64 key
+    column (reusing the batch's cached keys when the columnar data plane
+    already packed them), never per-envelope Python iteration.
     """
-
-    n_messages: int
-    n_requests: int
-    src_wildcards: int
-    tag_wildcards: int
-    peers: np.ndarray
-    comms: np.ndarray
-    duplicates: int
-    dominant: int
-    tags: np.ndarray
-    tag_counts: np.ndarray
-    umq_depth: int
-    prq_depth: int
+    if not len(messages):
+        return 0, 0
+    packed = messages._packed
+    if packed is None:
+        packed = (messages.comm << 48) | (messages.src << 16) | messages.tag
+    _, tuple_counts = np.unique(packed, return_counts=True)
+    return (len(messages) - int(tuple_counts.size),
+            int(tuple_counts.max()) - 1)
 
 
-def _flush_stats(messages: EnvelopeBatch, requests: EnvelopeBatch,
-                 umq_depth: int, prq_depth: int) -> _FlushStats:
-    """One flush's Table I counters.
-
-    Pure column work: the tuple statistics come from one ``np.unique``
-    over the flush's packed64 key column (reusing the batch's cached keys
-    when the columnar data plane already packed them), never from
-    per-envelope Python iteration.
-    """
-    src_wc = int(np.count_nonzero(requests.src == ANY_SOURCE))
-    tag_wc = int(np.count_nonzero(requests.tag == ANY_TAG))
+def _sets_tier(messages: EnvelopeBatch, requests: EnvelopeBatch
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One flush's sets tier: sorted unique peers, communicators and
+    tags, plus each tag's message count."""
     empty = np.array([], dtype=np.int64)
     if len(messages):
-        packed = messages._packed
-        if packed is None:
-            packed = ((messages.comm << 48)
-                      | (messages.src << 16) | messages.tag)
-        _, tuple_counts = np.unique(packed, return_counts=True)
-        duplicates = len(messages) - int(tuple_counts.size)
-        dominant = int(tuple_counts.max()) - 1
         peers = np.unique(messages.src)
         tags, counts = np.unique(messages.tag, return_counts=True)
     else:
-        duplicates = 0
-        dominant = 0
         peers = empty
         tags, counts = empty, empty
     comms = (np.unique(np.concatenate([messages.comm, requests.comm]))
              if (len(messages) or len(requests)) else empty)
-    return _FlushStats(
-        n_messages=len(messages),
-        n_requests=len(requests),
-        src_wildcards=src_wc,
-        tag_wildcards=tag_wc,
-        peers=peers,
-        comms=comms,
-        duplicates=duplicates,
-        dominant=dominant,
-        tags=tags,
-        tag_counts=counts,
-        umq_depth=umq_depth,
-        prq_depth=prq_depth,
-    )
+    return peers, comms, tags, counts
+
+
+class _FlushEntry:
+    """One windowed flush: its unmatched depths and its three statistics
+    tiers, each computed from the flush's batches on first read.
+
+    ``n_messages``, ``duplicates`` and ``peers`` are ``None`` until their
+    tier is computed.  Once every tier is, the batches are released.
+    Set-valued stats are kept as the sorted unique *arrays* ``np.unique``
+    already produced -- the window aggregation is then a
+    unique-of-concatenation, never a Python set union over items.
+    """
+
+    __slots__ = ("messages", "requests", "umq_depth", "prq_depth",
+                 "n_messages", "n_requests", "src_wildcards",
+                 "tag_wildcards", "duplicates", "dominant",
+                 "peers", "comms", "tags", "tag_counts")
+
+    def __init__(self, messages: EnvelopeBatch | None,
+                 requests: EnvelopeBatch | None,
+                 umq_depth: int, prq_depth: int) -> None:
+        self.messages = messages
+        self.requests = requests
+        self.umq_depth = umq_depth
+        self.prq_depth = prq_depth
+        self.n_messages = None
+        self.duplicates = None
+        self.peers = None
+
+    def counts(self) -> _FlushEntry:
+        if self.n_messages is None:
+            (self.n_messages, self.n_requests, self.src_wildcards,
+             self.tag_wildcards) = _counts_tier(self.messages,
+                                                self.requests)
+        return self
+
+    def tuples(self) -> _FlushEntry:
+        if self.duplicates is None:
+            self.duplicates, self.dominant = _tuple_tier(self.messages)
+        return self
+
+    def full(self) -> _FlushEntry:
+        """Every tier computed; the batches are no longer needed."""
+        self.counts().tuples()
+        if self.peers is None:
+            (self.peers, self.comms, self.tags,
+             self.tag_counts) = _sets_tier(self.messages, self.requests)
+        self.messages = self.requests = None
+        return self
+
+
+def _wildcard_fractions(w: list[_FlushEntry]) -> tuple[float, float]:
+    """Windowed src and tag wildcard fractions of the requests."""
+    n_reqs = sum(s.n_requests for s in w)
+    if not n_reqs:
+        return 0.0, 0.0
+    return (sum(s.src_wildcards for s in w) / n_reqs,
+            sum(s.tag_wildcards for s in w) / n_reqs)
+
+
+def _dominant_fraction(w: list[_FlushEntry]) -> float:
+    """Windowed excess hottest-tuple multiplicity per message."""
+    n_msgs = sum(s.n_messages for s in w)
+    return _finite(sum(s.dominant for s in w) / n_msgs if n_msgs else 0.0)
 
 
 class StreamProfiler:
@@ -185,9 +243,9 @@ class StreamProfiler:
         if window_flushes < 1:
             raise ValueError("window_flushes must be >= 1")
         self.window_flushes = window_flushes
-        # computed _FlushStats, or a queued (messages, requests,
-        # umq_depth, prq_depth) flush not read yet
-        self._window: deque[_FlushStats | tuple] = deque(
+        # a _FlushEntry, or a queued (messages, requests, umq_depth,
+        # prq_depth) flush not read yet
+        self._window: deque[_FlushEntry | tuple] = deque(
             maxlen=window_flushes)
         self.total_flushes = 0
 
@@ -207,14 +265,42 @@ class StreamProfiler:
                              outcome.n_requests - matched))
         self.total_flushes += 1
 
-    def _stats(self) -> list[_FlushStats]:
-        """The window's statistics; a queued flush is computed once and
-        replaced by its result."""
+    def _entries(self) -> list[_FlushEntry]:
+        """The window's entries; a queued flush becomes an entry on its
+        first read, with no tier computed yet."""
         window = self._window
         for i in range(len(window)):
-            if not isinstance(window[i], _FlushStats):
-                window[i] = _flush_stats(*window[i])
+            if not isinstance(window[i], _FlushEntry):
+                window[i] = _FlushEntry(*window[i])
         return list(window)
+
+    def _counted(self) -> list[_FlushEntry]:
+        return [e.counts() for e in self._entries()]
+
+    # -- the autotuner's reads ----------------------------------------------------
+
+    @property
+    def n_messages(self) -> int:
+        """Windowed message volume (counts tier)."""
+        return sum(e.n_messages for e in self._counted())
+
+    @property
+    def uses_wildcards(self) -> bool:
+        """Did any windowed request carry a wildcard? (counts tier)
+
+        Equal to ``profile().uses_wildcards``.
+        """
+        return max(_wildcard_fractions(self._counted())) > 0.0
+
+    @property
+    def hash_friendly(self) -> bool:
+        """Is the window's tuple stream diverse enough for the hash path?
+        (counts and tuple tiers)
+
+        Equal to ``profile().hash_friendly``.
+        """
+        w = [e.counts().tuples() for e in self._entries()]
+        return _dominant_fraction(w) < _DOMINANCE_GATE
 
     # -- snapshot format ----------------------------------------------------------
 
@@ -234,32 +320,37 @@ class StreamProfiler:
                             "tag_counts": s.tag_counts,
                             "umq_depth": s.umq_depth,
                             "prq_depth": s.prq_depth}
-                           for s in self._stats()]}
+                           for s in self._full()]}
 
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`export_state`."""
+        """Inverse of :meth:`export_state`; restored entries are fully
+        computed."""
         self.window_flushes = int(state["window_flushes"])
         self.total_flushes = int(state["total_flushes"])
-        self._window = deque(
-            (_FlushStats(
-                n_messages=int(s["n_messages"]),
-                n_requests=int(s["n_requests"]),
-                src_wildcards=int(s["src_wildcards"]),
-                tag_wildcards=int(s["tag_wildcards"]),
-                peers=np.asarray(s["peers"], dtype=np.int64),
-                comms=np.asarray(s["comms"], dtype=np.int64),
-                duplicates=int(s["duplicates"]),
-                dominant=int(s["dominant"]),
-                tags=np.asarray(s["tags"], dtype=np.int64),
-                tag_counts=np.asarray(s["tag_counts"]),
-                umq_depth=int(s["umq_depth"]),
-                prq_depth=int(s["prq_depth"]))
-             for s in state["window"]),
-            maxlen=self.window_flushes)
+        self._window = deque(maxlen=self.window_flushes)
+        for s in state["window"]:
+            e = _FlushEntry(None, None, int(s["umq_depth"]),
+                            int(s["prq_depth"]))
+            e.n_messages = int(s["n_messages"])
+            e.n_requests = int(s["n_requests"])
+            e.src_wildcards = int(s["src_wildcards"])
+            e.tag_wildcards = int(s["tag_wildcards"])
+            e.duplicates = int(s["duplicates"])
+            e.dominant = int(s["dominant"])
+            e.peers = np.asarray(s["peers"], dtype=np.int64)
+            e.comms = np.asarray(s["comms"], dtype=np.int64)
+            e.tags = np.asarray(s["tags"], dtype=np.int64)
+            e.tag_counts = np.asarray(s["tag_counts"])
+            self._window.append(e)
+
+    # -- the full Table I profile -------------------------------------------------
+
+    def _full(self) -> list[_FlushEntry]:
+        return [e.full() for e in self._entries()]
 
     def profile(self) -> WorkloadProfile:
-        """The aggregated profile of the current window."""
-        w = self._stats()
+        """The aggregated profile of the current window (every tier)."""
+        w = self._full()
         n_msgs = sum(s.n_messages for s in w)
         n_reqs = sum(s.n_requests for s in w)
         n_peers = int(np.unique(np.concatenate(
@@ -277,14 +368,13 @@ class StreamProfiler:
                 merged_counts = np.array([])
         else:
             merged_counts = np.array([])
+        src_wc, tag_wc = _wildcard_fractions(w)
         return WorkloadProfile(
             window_flushes=len(w),
             n_messages=n_msgs,
             n_requests=n_reqs,
-            src_wildcard_fraction=(sum(s.src_wildcards for s in w) / n_reqs
-                                   if n_reqs else 0.0),
-            tag_wildcard_fraction=(sum(s.tag_wildcards for s in w) / n_reqs
-                                   if n_reqs else 0.0),
+            src_wildcard_fraction=src_wc,
+            tag_wildcard_fraction=tag_wc,
             n_peers=n_peers,
             n_comms=n_comms,
             duplicate_tuple_fraction=_finite(
@@ -294,6 +384,5 @@ class StreamProfiler:
                                    if w else 0.0),
             prq_depth_mean=_finite(np.mean([s.prq_depth for s in w])
                                    if w else 0.0),
-            dominant_tuple_fraction=_finite(
-                sum(s.dominant for s in w) / n_msgs if n_msgs else 0.0),
+            dominant_tuple_fraction=_dominant_fraction(w),
         )

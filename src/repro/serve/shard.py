@@ -15,9 +15,10 @@ The flush path is where every prior subsystem composes:
    batch violates the current relaxations (PR 2's degradation pattern);
 3. any pending retune cost is charged onto the outcome (the adaptive
    relaunch model);
-4. the profiler ingests the flushed stream and, for an autotuned
-   tenant, the autotuner reads the window profile and decides whether
-   the *next* flush runs on a different Table II point;
+4. the profiler queues the flushed stream and, for an autotuned
+   tenant, the autotuner reads the window statistics its decision
+   needs and decides whether the *next* flush runs on a different
+   Table II point;
 5. the observability handle (PR 3) gets per-tenant spans, queue-depth
    gauges, and batch/shed/retune counters -- all behind one
    ``is None`` branch.
@@ -158,14 +159,15 @@ class Shard:
         return sum(len(ts.accumulator) for ts in self.tenants.values())
 
     def tenant_volumes(self) -> dict[str, int]:
-        """Windowed message volume per tenant (its profiler window).
+        """Windowed message volume per tenant (its profiler window's
+        counts tier; no full profile is computed).
 
         The load signal behind both the cluster's hot-spot rebalancer
         (which moves the hottest tenant of the hottest worker) and its
         per-worker imbalance statistic (max/mean of the summed volumes),
         so "hot" means the same thing in both.
         """
-        return {name: ts.profiler.profile().n_messages
+        return {name: ts.profiler.n_messages
                 for name, ts in self.tenants.items()}
 
     def next_deadline_vt(self) -> float | None:
@@ -342,11 +344,12 @@ class Shard:
             meta=meta)
         ts.flush_seq += 1
         ts.matched_total += outcome.matched_count
-        # profile the flushed stream and maybe retune for the next flush;
-        # only an autotuned tenant reads the aggregated window profile
+        # queue the flushed stream and maybe retune for the next flush;
+        # only an autotuned tenant reads window statistics, and only the
+        # ones its decision needs
         ts.profiler.ingest(messages, requests, outcome)
-        new_rel = (ts.autotuner.consider(ts.relaxations,
-                                         ts.profiler.profile(), now_vt)
+        new_rel = (ts.autotuner.consider(ts.relaxations, ts.profiler,
+                                         now_vt)
                    if ts.spec.autotune else None)
         if new_rel is not None:
             event = ts.autotuner.events[-1]

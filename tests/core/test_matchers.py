@@ -139,6 +139,17 @@ class TestMatchOutcomeValidation:
         with pytest.raises(ValueError, match=self.DUPLICATE):
             MatchOutcome(np.array([5, 5]), n_messages=2, n_requests=2)
 
+    def test_matched_count_follows_a_rebound_vector(self):
+        out = MatchOutcome(np.array([1, 0, NO_MATCH]), n_messages=2,
+                           n_requests=3)
+        assert out.matched_count == 2
+        assert out.match_fraction == pytest.approx(2 / 3)
+        out.request_to_message = np.array([NO_MATCH, 0, NO_MATCH])
+        assert out.matched_count == 1
+        assert out.match_fraction == pytest.approx(1 / 3)
+        out.request_to_message = np.array([1, 0, NO_MATCH])
+        assert out.matched_count == 2
+
 
 class TestMatrixMatcher:
     @given(workloads())
